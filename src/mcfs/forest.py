@@ -1,4 +1,10 @@
-"""Random forest of CART trees on binned columns, plus test metrics."""
+"""Random forest of CART trees on binned columns, plus test metrics.
+
+Trees grow level by level on uint8 bin codes, all trees of a batch at
+once, and a fitted forest is one flat set of node arrays (see
+``ForestModel``).  Neither growing nor predicting loops over nodes in
+Python; the only per-tree loops draw each tree's random numbers.
+"""
 
 from __future__ import annotations
 
@@ -10,37 +16,33 @@ import numpy as np
 
 MAX_BINS = 32
 
-# level-wise growth touches units = trees * rows at once; batches of trees
-# keep the per-level scratch arrays bounded
+# level-wise growth and prediction touch units = trees * rows at once;
+# batches of trees keep the per-level scratch arrays bounded
 _UNIT_BUDGET = 60_000
 
 
 @dataclass(eq=False)
-class Tree:
-    """One CART tree in structure-of-arrays form.
+class ForestModel:
+    """Bagged CART trees in flat structure-of-arrays form.
 
-    ``feature[i]`` is the original column id tested at node i, or -1 for a
-    leaf.  Rows with column value <= ``threshold[i]`` (equivalently binned
-    code <= ``split_bin[i]``) go to ``left[i]``.  ``hist`` keeps the class
-    histogram of every node; a leaf votes for its histogram argmax.
+    Tree t owns the nodes from ``roots[t]`` up to the next tree's root,
+    root first, then level by level, each level in the order its parents
+    split.  ``feature[i]`` is the original column id tested at node i, or
+    -1 for a leaf.  Rows whose binned code in that column is
+    <= ``split_bin[i]`` go to ``left[i]`` and the others to
+    ``left[i] + 1``: siblings are adjacent, so there is no right array.
+    A leaf has ``split_bin`` and ``left`` -1 and votes for ``leaf_class``,
+    the argmax of its class histogram; inner nodes have ``leaf_class`` -1.
+    ``edges`` maps each subset column to its bin edges.
     """
 
     feature: np.ndarray
     split_bin: np.ndarray
-    threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     leaf_class: np.ndarray
-    hist: np.ndarray
-
-
-@dataclass(eq=False)
-class ForestModel:
-    trees: list
+    roots: np.ndarray
     subset: tuple
     n_classes: int
-    n_trees: int
-    seed: int
     edges: dict
 
 
@@ -110,196 +112,134 @@ def _ensure_columns(ds, cols) -> _Bins:
     return bins
 
 
-class _TreeScratch:
-    """Growing node arrays for one tree; local node ids are append order."""
-
-    __slots__ = ("feature", "split_bin", "left", "right", "leaf_class", "hist")
-
-    def __init__(self):
-        self.feature = []
-        self.split_bin = []
-        self.left = []
-        self.right = []
-        self.leaf_class = []
-        self.hist = []
-
-    def add_node(self):
-        self.feature.append(-1)
-        self.split_bin.append(-1)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_class.append(-1)
-        self.hist.append(None)
-        return len(self.feature) - 1
-
-
-def _grow_batch(codes_sub, y, n_classes, cols, nbins_sub, rngs,
+def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
                 max_depth, min_leaf):
     """Grow one bootstrap tree per rng, all trees level by level at once.
 
     Every per-tree random draw comes from that tree's own generator in a
-    fixed order (bootstrap, then one candidate draw per level that has
-    splittable nodes), so the result does not depend on how trees are
-    batched together.
+    fixed order: the bootstrap, then one ``random((splittable nodes, k))``
+    per level that has splittable nodes.  The result therefore does not
+    depend on how trees are batched together.  ``n_bins`` is the largest
+    bin count among the columns.
+
+    Returns the node arrays ``(tree, feature, split_bin, left,
+    leaf_class)``, where ``tree`` is the batch-local tree id.  Node ids
+    are batch-global in append order (level, then slot within the level),
+    and ``left`` holds such ids.
     """
     T = len(rngs)
     n, k = codes_sub.shape
-    m = max(1, math.isqrt(k))
-    B = int(nbins_sub.max())
     C = n_classes
 
-    unit_row = np.concatenate(
-        [rng.integers(0, n, size=n) for rng in rngs]
-    )
-    y_unit = y[unit_row]
-
-    scratch = [_TreeScratch() for _ in range(T)]
-    for s in scratch:
-        s.add_node()
-
-    # active node table; units point into it by slot
+    # units are (tree, bootstrap row) pairs still at an open node; a unit
+    # points at its node by slot in the current level's node table
+    u_row = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    u_y = y[u_row]
+    u_slot = np.repeat(np.arange(T, dtype=np.int64), n)
+    # tree of each slot; slots stay sorted by tree from level to level
     act_tree = np.arange(T, dtype=np.int64)
-    act_node = np.zeros(T, dtype=np.int64)
-    unit_slot = np.repeat(np.arange(T, dtype=np.int64), n)
-    alive = np.ones(T * n, dtype=bool)
+    base = 0  # global id of the level's first node
+    levels = []
 
     for depth in range(max_depth + 1):
         n_act = act_tree.size
-        if n_act == 0:
-            break
-        u_slot = unit_slot[alive]
-        u_y = y_unit[alive]
         hist = np.bincount(
             u_slot * C + u_y, minlength=n_act * C
         ).reshape(n_act, C)
         sizes = hist.sum(axis=1)
-
         is_leaf = (
-            (depth >= max_depth)
+            (depth >= max_depth or n_bins <= 1)
             | (sizes < 2 * min_leaf)
             | (hist.max(axis=1) == sizes)
         )
-        if B <= 1:
-            is_leaf[:] = True
+        split = np.flatnonzero(~is_leaf)
+        if split.size:
+            split, col, sbin = _best_splits(
+                codes_sub, hist, sizes, split, act_tree, u_row, u_y, u_slot,
+                n_bins, rngs, min_leaf,
+            )
+        S = split.size
 
-        split_slots = np.flatnonzero(~is_leaf)
-        chosen_col = None
-        if split_slots.size:
-            # per-tree candidate draws, in this level's slot order
-            cand = np.empty((split_slots.size, m), dtype=np.int64)
-            sp_tree = act_tree[split_slots]
-            for t in np.unique(sp_tree):
-                sel = np.flatnonzero(sp_tree == t)
-                noise = rngs[t].random((sel.size, k))
-                cand[sel] = np.argsort(noise, axis=1, kind="stable")[:, :m]
-
-            slot_rank = np.full(n_act, -1, dtype=np.int64)
-            slot_rank[split_slots] = np.arange(split_slots.size)
-            u_rank = slot_rank[u_slot]
-            live = u_rank >= 0
-            rows_l = unit_row[alive][live]
-            y_l = u_y[live]
-            rank_l = u_rank[live]
-            cand_l = cand[rank_l]
-            code_l = codes_sub[rows_l[:, None], cand_l].astype(np.int64)
-
-            S = split_slots.size
-            flat = ((rank_l[:, None] * m + np.arange(m)) * B + code_l) * C
-            jh = np.bincount(
-                (flat + y_l[:, None]).ravel(), minlength=S * m * B * C
-            ).reshape(S, m, B, C)
-            cum = np.cumsum(jh, axis=2)[:, :, :-1, :]
-            nl = cum.sum(axis=3)
-            nr = sizes[split_slots][:, None, None] - nl
-            left_sq = np.square(cum).sum(axis=3)
-            tot = hist[split_slots][:, None, None, :]
-            right_sq = np.square(tot - cum).sum(axis=3)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = (nl - left_sq / nl) + (nr - right_sq / nr)
-            score[(nl < min_leaf) | (nr < min_leaf)] = np.inf
-
-            flat_best = np.argmin(score.reshape(S, -1), axis=1)
-            j_best, b_best = np.divmod(flat_best, B - 1)
-            best = score.reshape(S, -1)[np.arange(S), flat_best]
-            sz = sizes[split_slots]
-            parent = sz - np.square(hist[split_slots]).sum(axis=1) / sz
-            no_gain = ~np.isfinite(best) | (best >= parent - 1e-12)
-            if no_gain.any():
-                is_leaf[split_slots[no_gain]] = True
-                keep = ~no_gain
-                split_slots = split_slots[keep]
-                cand = cand[keep]
-                j_best = j_best[keep]
-                b_best = b_best[keep]
-            chosen_col = cand[np.arange(split_slots.size), j_best]
-
-        # record leaves and retire their units
-        for s_idx in np.flatnonzero(is_leaf):
-            t = act_tree[s_idx]
-            node = act_node[s_idx]
-            h = hist[s_idx]
-            scratch[t].leaf_class[node] = int(np.argmax(h))
-            scratch[t].hist[node] = h
-
-        if split_slots.size == 0:
+        feature = np.full(n_act, -1, dtype=np.int64)
+        split_bin = np.full(n_act, -1, dtype=np.int64)
+        left = np.full(n_act, -1, dtype=np.int64)
+        leaf_class = np.argmax(hist, axis=1)
+        leaf_class[split] = -1
+        if S:
+            feature[split] = cols[col]
+            split_bin[split] = sbin
+            left[split] = base + n_act + 2 * np.arange(S)
+        levels.append((act_tree, feature, split_bin, left, leaf_class))
+        if S == 0:
             break
 
-        # record splits and create children (left then right, slot order)
-        new_tree = np.empty(2 * split_slots.size, dtype=np.int64)
-        new_node = np.empty(2 * split_slots.size, dtype=np.int64)
-        slot_rank = np.full(n_act, -1, dtype=np.int64)
-        slot_rank[split_slots] = np.arange(split_slots.size)
-        for i, s_idx in enumerate(split_slots):
-            t = act_tree[s_idx]
-            node = act_node[s_idx]
-            tree = scratch[t]
-            tree.feature[node] = int(cols[chosen_col[i]])
-            tree.split_bin[node] = int(b_best[i])
-            tree.hist[node] = hist[s_idx]
-            lid = tree.add_node()
-            rid = tree.add_node()
-            tree.left[node] = lid
-            tree.right[node] = rid
-            new_tree[2 * i] = t
-            new_tree[2 * i + 1] = t
-            new_node[2 * i] = lid
-            new_node[2 * i + 1] = rid
+        # route the units of split nodes to their children; drop the rest
+        rank = np.full(n_act, -1, dtype=np.int64)
+        rank[split] = np.arange(S)
+        u_rank = rank[u_slot]
+        live = u_rank >= 0
+        u_row, u_y, u_rank = u_row[live], u_y[live], u_rank[live]
+        go_right = codes_sub[u_row, col[u_rank]] > sbin[u_rank]
+        u_slot = 2 * u_rank + go_right
+        act_tree = np.repeat(act_tree[split], 2)
+        base += n_act
 
-        # route units of split nodes to their children; retire the rest
-        idx_alive = np.flatnonzero(alive)
-        rk_alive = slot_rank[unit_slot[idx_alive]]
-        live = rk_alive >= 0
-        idx = idx_alive[live]
-        rk = rk_alive[live]
-        code = codes_sub[unit_row[idx], chosen_col[rk]].astype(np.int64)
-        go_left = code <= b_best[rk]
-        unit_slot[idx] = np.where(go_left, 2 * rk, 2 * rk + 1)
-        alive[idx_alive[~live]] = False
-
-        act_tree = new_tree
-        act_node = new_node
-
-    return scratch
+    return tuple(np.concatenate(parts) for parts in zip(*levels))
 
 
-def _finish_tree(tree: _TreeScratch, edges, n_classes) -> Tree:
-    feat = np.array(tree.feature, dtype=np.int64)
-    sb = np.array(tree.split_bin, dtype=np.int64)
-    thr = np.full(feat.size, np.nan)
-    inner = feat >= 0
-    thr[inner] = [edges[int(f)][b] for f, b in zip(feat[inner], sb[inner])]
-    hist = np.zeros((feat.size, n_classes), dtype=np.int64)
-    for i, h in enumerate(tree.hist):
-        hist[i] = h
-    return Tree(
-        feature=feat,
-        split_bin=sb,
-        threshold=thr,
-        left=np.array(tree.left, dtype=np.int64),
-        right=np.array(tree.right, dtype=np.int64),
-        leaf_class=np.array(tree.leaf_class, dtype=np.int64),
-        hist=hist,
+def _best_splits(codes_sub, hist, sizes, split, act_tree, u_row, u_y, u_slot,
+                 B, rngs, min_leaf):
+    """Best Gini split of each splittable slot over its candidate columns.
+
+    Returns the slots that gain, with the subset position of their column
+    and their split bin.  Scores are computed from integer counts, and the
+    argmin runs over (candidate, bin) in that order, so ties go to the
+    first candidate drawn, then the lowest bin.
+    """
+    C = hist.shape[1]
+    S = split.size
+    k = codes_sub.shape[1]
+    m = max(1, math.isqrt(k))
+
+    # candidate draws in slot order: one block per tree, trees ascending
+    counts = np.bincount(act_tree[split], minlength=len(rngs)).tolist()
+    noise = np.concatenate(
+        [rngs[t].random((c, k)) for t, c in enumerate(counts) if c]
     )
+    cand = np.argsort(noise, axis=1, kind="stable")[:, :m]
+
+    rank = np.full(hist.shape[0], -1, dtype=np.int64)
+    rank[split] = np.arange(S)
+    u_rank = rank[u_slot]
+    live = u_rank >= 0
+    rank_l = u_rank[live]
+    code_l = np.take(
+        codes_sub, (u_row[live] * k)[:, None] + np.take(cand, rank_l, axis=0)
+    )
+
+    # class-major histogram (class, slot, candidate, bin): each class is
+    # one contiguous slab, so sums over classes are slab-wise adds
+    key = ((u_y[live] * S + rank_l) * (m * B))[:, None] + np.arange(m) * B
+    key += code_l
+    jh = np.bincount(key.ravel(), minlength=C * S * m * B).reshape(C, S, m, B)
+    cum = np.cumsum(jh[..., :-1], axis=3)
+    nl = cum.sum(axis=0)
+    nr = sizes[split][:, None, None] - nl
+    left_sq = np.square(cum).sum(axis=0)
+    right = hist[split].T[:, :, None, None] - cum
+    right_sq = np.square(right, out=right).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (nl - left_sq / nl) + (nr - right_sq / nr)
+    score[np.minimum(nl, nr) < min_leaf] = np.inf
+
+    score = score.reshape(S, -1)
+    flat_best = np.argmin(score, axis=1)
+    j_best, b_best = np.divmod(flat_best, B - 1)
+    best = score[np.arange(S), flat_best]
+    sz = sizes[split]
+    parent = sz - np.square(hist[split]).sum(axis=1) / sz
+    gain = np.isfinite(best) & (best < parent - 1e-12)
+    return split[gain], cand[gain, j_best[gain]], b_best[gain]
 
 
 def train_forest(train, subset, n_trees: int = 100, seed: int = 0,
@@ -322,64 +262,80 @@ def train_forest(train, subset, n_trees: int = 100, seed: int = 0,
 
     bins = _ensure_columns(train, cols)
     codes_sub = np.ascontiguousarray(bins.codes[:, cols])
-    nbins_sub = bins.nbins[cols]
-    edges = {int(c): bins.edges[c] for c in cols}
+    n_bins = int(bins.nbins[cols].max())
 
     streams = np.random.SeedSequence(seed).spawn(n_trees)
     batch = max(1, _UNIT_BUDGET // max(1, train.n_samples))
-    trees = []
+    parts = []
+    n_nodes = 0
     for start in range(0, n_trees, batch):
         rngs = [np.random.default_rng(s) for s in streams[start:start + batch]]
-        scratch = _grow_batch(
+        tree, feature, split_bin, left, leaf_class = _grow_batch(
             codes_sub, train.labels, train.n_classes,
-            cols, nbins_sub, rngs, max_depth, min_leaf,
+            cols, n_bins, rngs, max_depth, min_leaf,
         )
-        trees.extend(
-            _finish_tree(t, edges, train.n_classes) for t in scratch
-        )
+        left[left >= 0] += n_nodes
+        parts.append((tree + start, feature, split_bin, left, leaf_class))
+        n_nodes += tree.size
+    tree, feature, split_bin, left, leaf_class = (
+        np.concatenate(p) for p in zip(*parts)
+    )
+
+    # a stable sort by tree keeps each tree's nodes in (level, slot) order
+    order = np.argsort(tree, kind="stable")
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    left = left[order]
+    inner = left >= 0
+    left[inner] = new_id[left[inner]]
     return ForestModel(
-        trees=trees,
+        feature=feature[order],
+        split_bin=split_bin[order],
+        left=left,
+        leaf_class=leaf_class[order],
+        roots=np.searchsorted(tree[order], np.arange(n_trees)),
         subset=tuple(int(c) for c in cols),
         n_classes=train.n_classes,
-        n_trees=n_trees,
-        seed=seed,
-        edges=edges,
+        edges={int(c): bins.edges[c] for c in cols},
     )
 
 
-def _tree_predict(tree: Tree, codes: np.ndarray) -> np.ndarray:
-    n = codes.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    rows = np.arange(n)
-    while True:
-        feat = tree.feature[node]
-        active = feat >= 0
-        if not active.any():
-            break
-        cv = codes[rows[active], feat[active]]
-        go_left = cv <= tree.split_bin[node[active]]
-        node[active] = np.where(
-            go_left, tree.left[node[active]], tree.right[node[active]]
-        )
-    return tree.leaf_class[node]
-
-
 def predict(model: ForestModel, ds) -> np.ndarray:
-    """Majority-vote class per row; vote ties resolve to the smallest id."""
+    """Majority-vote class per row; vote ties resolve to the smallest id.
+
+    All trees of a batch walk down together, one level per step, over a
+    (trees x rows) node matrix.
+    """
     cols = np.array(model.subset, dtype=np.int64)
     if cols[-1] >= ds.n_features:
         raise ValueError("dataset has fewer columns than the model subset")
-    codes = np.zeros((ds.n_samples, int(cols[-1]) + 1), dtype=np.uint8)
+    n = ds.n_samples
+    codes = np.zeros((n, int(cols[-1]) + 1), dtype=np.uint8)
     for c in cols:
         codes[:, c] = np.searchsorted(
             model.edges[int(c)], ds.features[:, c], side="left"
         ).astype(np.uint8)
-    votes = np.zeros((ds.n_samples, model.n_classes), dtype=np.int64)
-    rows = np.arange(ds.n_samples)
-    for tree in model.trees:
-        pred = _tree_predict(tree, codes)
-        votes[rows, pred] += 1
-    return np.argmax(votes, axis=1)
+    C = model.n_classes
+    votes = np.zeros(n * C, dtype=np.int64)
+    batch = max(1, _UNIT_BUDGET // max(1, n))
+    for start in range(0, model.roots.size, batch):
+        roots = model.roots[start:start + batch]
+        node = np.repeat(roots, n)
+        row = np.tile(np.arange(n), roots.size)
+        walk = np.arange(node.size)
+        while True:
+            feat = model.feature[node[walk]]
+            inner = feat >= 0
+            walk = walk[inner]
+            if walk.size == 0:
+                break
+            at = node[walk]
+            go_right = codes[row[walk], feat[inner]] > model.split_bin[at]
+            node[walk] = model.left[at] + go_right
+        votes += np.bincount(
+            row * C + model.leaf_class[node], minlength=n * C
+        )
+    return np.argmax(votes.reshape(n, C), axis=1)
 
 
 def evaluate(model: ForestModel, test, subset) -> MetricReport:

@@ -1,5 +1,8 @@
 """The from-scratch forest: fitting, prediction, metrics, determinism."""
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,6 +18,23 @@ def separable_dataset(n=200, seed=0):
     x[:, 1] += 4.0 * y
     x[:, 3] -= 4.0 * y
     return data.Dataset(x, y, ["a", "b", "c", "d"], 2)
+
+
+NODE_FIELDS = ("feature", "split_bin", "left", "leaf_class", "roots")
+
+
+def tree_nodes(model):
+    """Each tree's (feature, split_bin, left, leaf_class) rows, numbered
+    from 0 at its root as in the flat layout's per-tree order."""
+    ends = np.append(model.roots[1:], model.feature.size)
+    for start, end in zip(model.roots, ends):
+        left = model.left[start:end]
+        yield np.stack([
+            model.feature[start:end],
+            model.split_bin[start:end],
+            np.where(left >= 0, left - start, -1),
+            model.leaf_class[start:end],
+        ])
 
 
 class TestTrainForest:
@@ -36,21 +56,21 @@ class TestTrainForest:
         b = forest.train_forest(ds, [0, 2], n_trees=5, seed=2)
         pa, pb = forest.predict(a, ds), forest.predict(b, ds)
         # different bootstrap draws; identical output would be suspicious
-        assert not all(
-            np.array_equal(ta.feature, tb.feature)
-            for ta, tb in zip(a.trees, b.trees)
-        ) or not np.array_equal(pa, pb)
+        assert not (
+            np.array_equal(a.feature, b.feature) and np.array_equal(pa, pb)
+        )
 
     def test_batch_size_does_not_change_trees(self, monkeypatch):
         # growing trees one per batch must give the exact same forest
         ds = separable_dataset(120, seed=3)
         full = forest.train_forest(ds, [0, 1, 2, 3], n_trees=8, seed=9)
+        pred = forest.predict(full, ds)
         monkeypatch.setattr(forest, "_UNIT_BUDGET", 1)
         single = forest.train_forest(ds, [0, 1, 2, 3], n_trees=8, seed=9)
-        for ta, tb in zip(full.trees, single.trees):
-            assert_array_equal(ta.feature, tb.feature)
-            assert_array_equal(ta.threshold, tb.threshold)
-            assert_array_equal(ta.leaf_class, tb.leaf_class)
+        for name in NODE_FIELDS:
+            assert_array_equal(getattr(full, name), getattr(single, name))
+        # prediction walks one tree per batch here
+        assert_array_equal(forest.predict(single, ds), pred)
 
     def test_rejects_bad_subsets(self):
         ds = separable_dataset(50)
@@ -84,6 +104,106 @@ class TestTrainForest:
         model = forest.train_forest(ds, [1], n_trees=10, seed=0)
         report = forest.evaluate(model, ds, [1])
         assert report.accuracy >= 0.9
+
+    def test_vote_tie_goes_to_smallest_class(self):
+        # tree 0 splits column 0 at its only edge: class 2 left, 0 right;
+        # tree 1 is a single leaf voting 1, so every row is a 1-1 tie
+        model = forest.ForestModel(
+            feature=np.array([0, -1, -1, -1]),
+            split_bin=np.array([0, -1, -1, -1]),
+            left=np.array([1, -1, -1, -1]),
+            leaf_class=np.array([-1, 2, 0, 1]),
+            roots=np.array([0, 3]),
+            subset=(0,),
+            n_classes=3,
+            edges={0: np.array([0.0])},
+        )
+        ds = data.Dataset(np.array([[-1.0], [1.0]]), np.array([0, 1]),
+                          ["a"], 3)
+        assert_array_equal(forest.predict(model, ds), [1, 0])
+
+
+@functools.lru_cache(maxsize=None)
+def golden_split(name):
+    if name == "levels":
+        # few-level integer columns and one constant column
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 5, size=(260, 6)).astype(float)
+        x[:, 5] = 1.0
+        y = (x[:, 0] + x[:, 1] + rng.integers(0, 3, size=260)) % 3
+        ds = data.Dataset(x, y.astype(np.int64), list("abcdef"), 3)
+    else:
+        n, d, k, seed, c = {
+            "bin": (240, 12, 4, 1, 2),
+            "tri": (300, 10, 5, 2, 3),
+            "quad": (360, 8, 6, 3, 4),
+            "wide": (1300, 30, 10, 4, 2),
+        }[name]
+        ds, _ = data.synth_classification(n, d, k, seed=seed, n_classes=c)
+    return data.split_dataset(ds, 0.8, seed=0)
+
+
+def node_digest(model):
+    h = hashlib.sha256()
+    for nodes in tree_nodes(model):
+        h.update(np.int64(nodes.shape[1]).tobytes())
+        h.update(np.ascontiguousarray(nodes, dtype="<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+# Forests grown by the per-node reference implementation this one
+# replaced: dataset, subset, seed, n_trees, max_depth, min_leaf, digest of
+# the node arrays in tree-local numbering, node count, and the predicted
+# classes of the test fold.  "wide" grows its 50 trees in two batches.
+GOLDEN = [
+    ('bin', range(12), 0, 10, 12, 2, '68bb8eb33df60954', 500,
+     '001100111110011001110000011100010011001000110000'),
+    ('bin', (0, 3, 5), 7, 5, 4, 1, '9756429a785b2f83', 107,
+     '111101010111001111110010111100100110101011011110'),
+    ('bin', (2,), 3, 3, 12, 5, 'ce529d86fb5f2f35', 149,
+     '000010110000110110100100111101110010000100001001'),
+    ('tri', range(10), 11, 10, 12, 2, '76676e353ddced7e', 776,
+     '000210011000110020001000011002000100112022100000100000111120'),
+    ('tri', (1, 4, 6, 8), 2, 25, 12, 1, '361734667d8c70bd', 3127,
+     '200112001000111010101020010020000120012212100010122000121120'),
+    ('quad', range(8), 5, 10, 12, 2, '0f4ceabd96238eb2', 1122,
+     '322223020210332002202021222223022001120302202223130122210000'
+     '302200220120'),
+    ('quad', (0, 2, 5), 9, 4, 4, 5, 'fd9462dcf5a2322d', 110,
+     '200023030232010123200333203233000000320300222023323033200000'
+     '001200012310'),
+    ('levels', range(6), 1, 10, 12, 2, 'a45c00bf45e0eee7', 996,
+     '0101000120010000000000010101020000002100012000102000'),
+    ('levels', (5,), 0, 3, 12, 2, '779e43cf0cb80212', 3,
+     '0000000000000000000000000000000000000000000000000000'),
+    ('wide', range(0, 30, 2), 13, 50, 12, 2, '160c0dadccb3009e', 14414,
+     '010010111010000111100010111001101100001011011001101000110100'
+     '111101110010000110000100001111001000011000110101011011010010'
+     '011101010101100101111011000111000000100101011010001110000010'
+     '011100100000111101001001010000111110110111010011100010110011'
+     '10100111000010011100'),
+]
+
+
+class TestGoldenForest:
+    @pytest.mark.parametrize(
+        "name, subset, seed, n_trees, max_depth, min_leaf, digest, n_nodes,"
+        " predictions",
+        GOLDEN,
+    )
+    def test_same_forest_as_reference(self, name, subset, seed, n_trees,
+                                      max_depth, min_leaf, digest, n_nodes,
+                                      predictions):
+        sp = golden_split(name)
+        model = forest.train_forest(
+            sp.train, subset, n_trees=n_trees, seed=seed,
+            max_depth=max_depth, min_leaf=min_leaf,
+        )
+        assert model.roots.size == n_trees
+        assert model.feature.size == n_nodes
+        assert node_digest(model) == digest
+        pred = forest.predict(model, sp.test)
+        assert "".join(map(str, pred)) == predictions
 
 
 class TestGeneralization:
