@@ -4,15 +4,23 @@ Evaluation protocol: one stratified 80/20 split per seed.  Training
 rewards come from a nested 80/20 split of the training fold, so the outer
 test fold stays untouched until the final report.  Baselines share the
 final forest settings and seed.
+
+A sweep runs one arm per parameter value.  The three reference baselines
+depend only on the outer split and the seed, which no sweep parameter
+changes, so a sweep fits them once and each arm fits only its selected
+subset.  ``MCFS_THREADS`` > 1 runs the arms, and the references beside
+them, in that many worker processes, never more than there are arms.
+Arms share no state, so the reports equal the sequential ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
+import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +34,6 @@ FINAL_TREES = 100
 FINAL_DEPTH = 12
 FINAL_MIN_LEAF = 2
 
-_RETURN_FLAGS = {"forward": "forward", "reversed": "reversed"}
 _RECALC_FLAGS = {"rc": "rejection_control", "stop": "stop_ratio"}
 _STATE_FLAGS = {"meta": "meta", "ae": "autoencoder"}
 
@@ -136,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--shaping-coeff", type=_nonneg_float, default=1.0)
     common.add_argument("--advise-steps", type=_nonneg_int, default=500)
     common.add_argument("--seed", type=_nonneg_int, default=0)
-    common.add_argument("--return-mode", choices=sorted(_RETURN_FLAGS),
+    common.add_argument("--return-mode", choices=engine.RETURN_MODES,
                         default="forward")
     common.add_argument("--recalc-mode", choices=sorted(_RECALC_FLAGS),
                         default="rc")
@@ -178,7 +185,7 @@ def _config_from_args(args, parser) -> engine.TrainConfig:
             stop_threshold=args.stop_threshold,
             shaping_coeff=args.shaping_coeff,
             advise_steps=args.advise_steps,
-            return_mode=_RETURN_FLAGS[args.return_mode],
+            return_mode=args.return_mode,
             recalc_mode=_RECALC_FLAGS[args.recalc_mode],
             behavior_mode=args.behavior,
             state_mode=_STATE_FLAGS[args.state_repr],
@@ -210,27 +217,34 @@ def _load_dataset(args):
     return ds, meta
 
 
-def _held_out_metrics(split, subset, seed, n_trees):
+def _baseline_entry(split, subset, seed, n_trees=FINAL_TREES) -> dict:
+    """Held-out metrics of a final-size forest fitted on one subset."""
     cols = sorted(int(c) for c in subset)
-    if not cols:
+    if cols:
+        model = forest.train_forest(
+            split.train, cols, n_trees=n_trees, seed=seed,
+            max_depth=FINAL_DEPTH, min_leaf=FINAL_MIN_LEAF,
+        )
+        metrics = forest.evaluate(model, split.test, cols)
+    else:
         # no features to train on: score a constant majority-class guess
         majority = int(np.bincount(split.train.labels).argmax())
         k = split.train.n_classes
         cm = np.zeros((k, k), dtype=np.int64)
         np.add.at(cm, (split.test.labels, majority), 1)
-        return forest.metrics_from_confusion(cm)
-    model = forest.train_forest(
-        split.train, cols, n_trees=n_trees, seed=seed,
-        max_depth=FINAL_DEPTH, min_leaf=FINAL_MIN_LEAF,
-    )
-    return forest.evaluate(model, split.test, cols)
+        metrics = forest.metrics_from_confusion(cm)
+    return {
+        "subset": reports.subset_payload(cols, split.train.feature_names),
+        "metrics": metrics.as_dict(),
+    }
 
 
-def compare_baselines(split, selected, seed, n_trees=FINAL_TREES) -> dict:
-    """Held-out metrics for the selected subset and three reference subsets.
+def reference_baselines(split, seed, n_trees=FINAL_TREES) -> dict:
+    """Held-out metrics for the three reference subsets.
 
     all_features, the top half of features by label information, and a
     random subset of the same size drawn deterministically from the seed.
+    They depend only on the split and the seed, not on what a run selects.
     """
     d = split.train.n_features
     k = max(1, d // 2)
@@ -238,31 +252,48 @@ def compare_baselines(split, selected, seed, n_trees=FINAL_TREES) -> dict:
     entries = {
         "all_features": list(range(d)),
         "kbest": info.kbest_select(split.train, k),
-        "random": sorted(int(c) for c in rng.choice(d, size=k, replace=False)),
-        "selected": sorted(int(c) for c in selected),
+        "random": rng.choice(d, size=k, replace=False),
     }
-    names = split.train.feature_names
     return {
-        name: {
-            "subset": reports.subset_payload(cols, names),
-            "metrics": _held_out_metrics(split, cols, seed, n_trees).as_dict(),
-        }
+        name: _baseline_entry(split, cols, seed, n_trees)
         for name, cols in entries.items()
     }
 
 
-def _execute_run(ds, meta, config):
-    """Train on the nested split and attach held-out baselines."""
+def compare_baselines(split, selected, seed, n_trees=FINAL_TREES) -> dict:
+    """Held-out metrics for the selected subset and the reference subsets."""
+    return {
+        **reference_baselines(split, seed, n_trees),
+        "selected": _baseline_entry(split, selected, seed, n_trees),
+    }
+
+
+def _execute_run(ds, meta, config, references=True):
+    """Train on the nested split and attach held-out baselines.
+
+    With ``references`` False the baselines hold only the ``selected``
+    entry: a sweep fits the reference subsets once for all of its arms.
+    """
     outer = data.split_dataset(ds, TRAIN_RATIO, seed=config.seed)
     inner = data.split_dataset(outer.train, TRAIN_RATIO, seed=config.seed)
     run = engine.train(inner, config)
-    baselines = compare_baselines(outer, run.best_subset, config.seed)
-    payload = reports.report_to_dict(
+    if references:
+        baselines = compare_baselines(outer, run.best_subset, config.seed)
+    else:
+        baselines = {
+            "selected": _baseline_entry(outer, run.best_subset, config.seed)
+        }
+    return reports.report_to_dict(
         run, ds.feature_names, dataset=meta,
         test_metrics=baselines["selected"]["metrics"],
         baselines=baselines,
     )
-    return payload
+
+
+def _sweep_references(ds, seed):
+    """A sweep's reference baselines, fitted on the outer split of ``ds``."""
+    outer = data.split_dataset(ds, TRAIN_RATIO, seed=seed)
+    return reference_baselines(outer, seed)
 
 
 def _print_summary(payload):
@@ -288,7 +319,17 @@ def cmd_run(args, parser) -> int:
     return 0
 
 
+def _sweep_workers(parser) -> int:
+    """Worker processes from MCFS_THREADS; values below 1 mean one."""
+    raw = os.environ.get("MCFS_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        parser.error(f"MCFS_THREADS must be an integer, got {raw!r}")
+
+
 def cmd_sweep(args, parser) -> int:
+    workers = _sweep_workers(parser)
     base = _config_from_args(args, parser)
     field_name, cast = SWEEP_PARAMS[args.param]
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -302,14 +343,20 @@ def cmd_sweep(args, parser) -> int:
             parser.error(f"bad value {raw!r} for --param {args.param}: {exc}")
 
     ds, meta = _load_dataset(args)
-    workers = max(1, int(os.environ.get("MCFS_THREADS", "1")))
+    arm = functools.partial(_execute_run, ds, meta, references=False)
+    references = functools.partial(_sweep_references, ds, base.seed)
+    # a fork-started pool starts every worker at once: one per arm at most
+    workers = min(workers, len(configs))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(
-                lambda c: _execute_run(ds, meta, c), configs
-            ))
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            ref_job = pool.submit(references)
+            payloads = list(pool.map(arm, configs))
+            refs = ref_job.result()
     else:
-        payloads = [_execute_run(ds, meta, c) for c in configs]
+        refs = references()
+        payloads = [arm(c) for c in configs]
+    for payload in payloads:
+        payload["baselines"] = {**refs, **payload["baselines"]}
 
     out = Path(args.out)
     rows = []

@@ -165,7 +165,6 @@ class RunReport:
     total_wall_ms: float
     test_metrics: dict | None = None
     baselines: dict | None = None
-    dataset_info: dict | None = None
 
 
 def stop_probability(importance: float, stop_threshold: float) -> float:
@@ -186,11 +185,15 @@ def survival_probability(importance: float, stop_threshold: float) -> float:
 
 def incremental_weight(prev: float, target_prob: float,
                        behavior_prob: float) -> float:
-    """Fold one step's probability ratio into the running weight."""
+    """Fold one step's probability ratio into the running weight.
+
+    A target probability that underflows to 0 makes the weight 0, and it
+    stays 0 for the rest of the episode.
+    """
     if behavior_prob <= 0:
         raise ValueError("behavior probability must be positive")
-    if prev <= 0:
-        raise ValueError("running weight must be positive")
+    if prev < 0:
+        raise ValueError("running weight must be non-negative")
     if target_prob < 0:
         raise ValueError("target probability must be non-negative")
     return prev * target_prob / behavior_prob
@@ -203,7 +206,8 @@ def recalc_weights(episode: Episode, stop_threshold: float,
 
     Default mode divides each step's importance by its survival probability
     and scales by the mean survival probability (``survival_mean``; when
-    None, the mean over this episode's own steps).  stop_ratio divides
+    None, the mean over this episode's own steps); a step of zero
+    importance has zero survival and gets weight 0.  stop_ratio divides
     by the stop probability instead and refuses zero stop probabilities.
     """
     if mode not in RECALC_MODES:
@@ -215,7 +219,8 @@ def recalc_weights(episode: Episode, stop_threshold: float,
     if survival_mean is None:
         survival_mean = float(surv.mean())
     if mode == "rejection_control":
-        return survival_mean * imp / surv
+        return np.divide(survival_mean * imp, surv,
+                         out=np.zeros(imp.shape), where=imp > 0)
     stop = 1.0 - surv
     if np.any(stop == 0.0):
         raise ValueError(

@@ -93,10 +93,6 @@ class Autoencoder:
         latent = acts[2]  # activation after the bottleneck layer
         return latent[0] if latent.shape[0] == 1 else latent
 
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(x)
-        return out
-
 
 def train_autoencoder(ds, seed: int = 0, n_subsets: int = 256,
                       epochs: int = 120, batch: int = 32,

@@ -1,5 +1,6 @@
 """Command-line harness: flags, reports, baselines, and sweeps."""
 
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcfs import cli, data, reports
+from mcfs import cli, data, forest, reports
 
 
 def run_args(out, extra=()):
@@ -53,6 +54,18 @@ class TestFlagParsing:
             with pytest.raises(SystemExit) as exc:
                 cli.main(["run", "--synthetic", spec])
             assert exc.value.code == 2
+
+    def test_non_integer_worker_count_exits_2(self, monkeypatch, capsys):
+        def no_data(args):
+            raise AssertionError("data loaded before MCFS_THREADS was read")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_data)
+        monkeypatch.setenv("MCFS_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--synthetic", "40,4,2",
+                      "--param", "stop-threshold", "--values", "0.2,0.8"])
+        assert exc.value.code == 2
+        assert "MCFS_THREADS" in capsys.readouterr().err
 
     def test_mode_flags_map_to_config(self):
         parser = cli.build_parser()
@@ -111,6 +124,17 @@ class TestRunCommand:
         assert stripped_report(tmp_path / "a") == stripped_report(
             tmp_path / "b"
         )
+
+    def test_zero_target_probability_finishes(self, tmp_path):
+        # on this seed the target policy gives a sampled action probability
+        # 0, which used to stop the run with "running weight must be
+        # positive"
+        code = cli.main([
+            "run", "--synthetic", "500,20,5", "--episodes", "10",
+            "--behavior", "random", "--stop-threshold", "0",
+            "--seed", "20000160", "--out", str(tmp_path / "r"),
+        ])
+        assert code == 0
 
     def test_csv_input_round_trip(self, tmp_path):
         ds, _ = data.synth_classification(60, 4, 2, seed=9)
@@ -210,6 +234,79 @@ class TestSweep:
             a = stripped_report(tmp_path / "seq" / f"utility-mode={v}")
             b = stripped_report(tmp_path / "par" / f"utility-mode={v}")
             assert a == b
+
+    def test_more_arms_than_workers_match_sequential(self, tmp_path,
+                                                     monkeypatch):
+        # three arms and the reference job on two workers: a worker runs
+        # more than one job
+        argv = ["sweep", "--synthetic", "80,5,2", "--episodes", "3",
+                "--seed", "5", "--param", "stop-threshold",
+                "--values", "0.0,0.5,1.0"]
+        assert cli.main(argv + ["--out", str(tmp_path / "seq")]) == 0
+        monkeypatch.setenv("MCFS_THREADS", "2")
+        assert cli.main(argv + ["--out", str(tmp_path / "par")]) == 0
+        for v in ("0.0", "0.5", "1.0"):
+            a = stripped_report(tmp_path / "seq" / f"stop-threshold={v}")
+            b = stripped_report(tmp_path / "par" / f"stop-threshold={v}")
+            assert a == b
+        assert ((tmp_path / "seq" / "summary.csv").read_bytes()
+                == (tmp_path / "par" / "summary.csv").read_bytes())
+
+    def test_pool_has_at_most_one_worker_per_arm(self, tmp_path,
+                                                 monkeypatch):
+        started = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                started.append(len(self._processes))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SpyPool)
+        monkeypatch.setenv("MCFS_THREADS", "64")
+        code = cli.main([
+            "sweep", "--synthetic", "80,5,2", "--episodes", "3",
+            "--seed", "4", "--param", "utility-mode", "--values", "rv,rvrd",
+            "--out", str(tmp_path / "sw"),
+        ])
+        assert code == 0
+        assert started and started[0] == 2
+
+    def test_reference_forests_fitted_once(self, tmp_path, monkeypatch):
+        fits = []
+        original = forest.train_forest
+
+        def counting(*args, **kwargs):
+            fits.append(kwargs.get("n_trees"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "train_forest", counting)
+        out = tmp_path / "sw"
+        code = cli.main([
+            "sweep", "--synthetic", "80,5,2", "--episodes", "10",
+            "--seed", "5", "--param", "stop-threshold",
+            "--values", "0.0,0.5,1.0", "--out", str(out),
+        ])
+        assert code == 0
+        for v in ("0.0", "0.5", "1.0"):
+            payload = reports.load_report(
+                out / f"stop-threshold={v}" / "report.json"
+            )
+            assert payload["baselines"]["selected"]["subset"]["indices"]
+        # three reference forests for the sweep, one per arm's selection
+        assert fits.count(cli.FINAL_TREES) == 6
+
+    def test_failing_arm_in_worker_exits_1(self, tmp_path, monkeypatch,
+                                           capsys):
+        # stop_ratio meets a zero stop probability mid-run
+        monkeypatch.setenv("MCFS_THREADS", "2")
+        code = cli.main([
+            "sweep", "--synthetic", "200,8,3", "--episodes", "20",
+            "--recalc-mode", "stop", "--param", "stop-threshold",
+            "--values", "0.5,1.0", "--out", str(tmp_path / "sw"),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_param_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -75,9 +75,14 @@ class TestIncrementalWeight:
         with pytest.raises(ValueError):
             engine.incremental_weight(1.0, 0.5, 0.0)
 
-    def test_rejects_non_positive_running_weight(self):
+    def test_rejects_negative_running_weight(self):
         with pytest.raises(ValueError):
-            engine.incremental_weight(0.0, 0.5, 0.5)
+            engine.incremental_weight(-0.1, 0.5, 0.5)
+
+    def test_zero_running_weight_stays_zero(self):
+        # a target probability that underflowed to 0 earlier in the episode
+        assert engine.incremental_weight(0.0, 0.5, 0.5) == 0.0
+        assert engine.incremental_weight(1.0, 0.0, 0.5) == 0.0
 
     def test_matches_direct_product_over_long_episodes(self):
         rng = np.random.default_rng(2)
@@ -129,6 +134,12 @@ class TestRecalcWeights:
         ep = make_episode(importances=[0.4, 0.2])
         got = engine.recalc_weights(ep, 0.5)
         assert_allclose(got, [0.3, 0.3], rtol=1e-12)
+
+    def test_zero_importance_gets_zero_weight(self):
+        # survivals [0.8, 0.0], own-episode mean 0.4; 0/0 would be nan
+        ep = make_episode(importances=[0.4, 0.0])
+        got = engine.recalc_weights(ep, 0.5)
+        assert_allclose(got, [0.2, 0.0], rtol=1e-12)
 
     def test_explicit_survival_mean_scales(self):
         ep = make_episode(importances=[0.4, 0.2])
