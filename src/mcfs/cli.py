@@ -27,14 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import data, engine, forest, info, reports
-from .rewards import RewardWeights
+from .rewards import UTILITY_MODES, RewardWeights
 
 TRAIN_RATIO = 0.8
 FINAL_TREES = 100
 FINAL_DEPTH = 12
 FINAL_MIN_LEAF = 2
 
-_RECALC_FLAGS = {"rc": "rejection_control", "stop": "stop_ratio"}
 _STATE_FLAGS = {"meta": "meta", "ae": "autoencoder"}
 
 SWEEP_PARAMS = {
@@ -145,13 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_nonneg_int, default=0)
     common.add_argument("--return-mode", choices=engine.RETURN_MODES,
                         default="forward")
-    common.add_argument("--recalc-mode", choices=sorted(_RECALC_FLAGS),
-                        default="rc")
     common.add_argument("--behavior", choices=engine.BEHAVIOR_MODES,
                         default="greedy")
     common.add_argument("--state-repr", choices=sorted(_STATE_FLAGS),
                         default="meta")
-    common.add_argument("--utility", choices=("rv", "rd", "rvrd"),
+    common.add_argument("--utility", choices=UTILITY_MODES,
                         default="rvrd")
     common.add_argument("--weights", type=_weights_spec, metavar="WACC,WRV,WRD",
                         default=RewardWeights())
@@ -186,7 +183,6 @@ def _config_from_args(args, parser) -> engine.TrainConfig:
             shaping_coeff=args.shaping_coeff,
             advise_steps=args.advise_steps,
             return_mode=args.return_mode,
-            recalc_mode=_RECALC_FLAGS[args.recalc_mode],
             behavior_mode=args.behavior,
             state_mode=_STATE_FLAGS[args.state_repr],
             utility_mode=args.utility,

@@ -25,9 +25,15 @@ from .rewards import shaped_reward
 from .rewards import utility as _utility
 
 RETURN_MODES = ("forward", "reversed")
-RECALC_MODES = ("rejection_control", "stop_ratio")
 BEHAVIOR_MODES = ("greedy", "random")
 STATE_MODES = ("meta", "autoencoder")
+# the allowed values of each TrainConfig mode field
+MODES = {
+    "return_mode": RETURN_MODES,
+    "behavior_mode": BEHAVIOR_MODES,
+    "state_mode": STATE_MODES,
+    "utility_mode": UTILITY_MODES,
+}
 
 
 @dataclass(eq=False)
@@ -35,11 +41,9 @@ class EpisodeStep:
     """One visit: the state seen, the decision taken, and its bookkeeping.
 
     ``importance`` is the running product of target/behavior probability
-    ratios up to and including this step; ``recalc_weight`` is filled in
-    after the episode by the early-stop weight recalculation.
+    ratios up to and including this step.
     """
 
-    t: int
     feature: int
     state: np.ndarray
     action: int
@@ -48,13 +52,11 @@ class EpisodeStep:
     target_prob: float
     behavior_prob: float
     importance: float
-    recalc_weight: float = 0.0
 
 
 @dataclass(eq=False)
 class Episode:
     steps: list
-    traversal_order: tuple
     stopped_early: bool
     final_subset: frozenset
     final_eval: float
@@ -72,12 +74,10 @@ class DecisionHistory:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a run needs; two alternate-form switches included.
+    """Everything a run needs; one alternate-form switch included.
 
     ``return_mode='reversed'`` accumulates past rewards instead of
-    future ones, and ``recalc_mode='stop_ratio'`` divides recalculated
-    weights by the stop probability instead of the survival probability.
-    Both defaults are the standard forms.
+    future ones; the default is the standard form.
     """
 
     episodes: int = 300
@@ -92,7 +92,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     updates_per_episode: int = 4
     return_mode: str = "forward"
-    recalc_mode: str = "rejection_control"
     behavior_mode: str = "greedy"
     state_mode: str = "meta"
     utility_mode: str = "rvrd"
@@ -125,16 +124,9 @@ class TrainConfig:
             raise ValueError("eval_trees must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.return_mode not in RETURN_MODES:
-            raise ValueError(f"return_mode must be one of {RETURN_MODES}")
-        if self.recalc_mode not in RECALC_MODES:
-            raise ValueError(f"recalc_mode must be one of {RECALC_MODES}")
-        if self.behavior_mode not in BEHAVIOR_MODES:
-            raise ValueError(f"behavior_mode must be one of {BEHAVIOR_MODES}")
-        if self.state_mode not in STATE_MODES:
-            raise ValueError(f"state_mode must be one of {STATE_MODES}")
-        if self.utility_mode not in UTILITY_MODES:
-            raise ValueError(f"utility_mode must be one of {UTILITY_MODES}")
+        for name, allowed in MODES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
 
 
 @dataclass(eq=False)
@@ -199,35 +191,23 @@ def incremental_weight(prev: float, target_prob: float,
     return prev * target_prob / behavior_prob
 
 
-def recalc_weights(episode: Episode, stop_threshold: float,
-                   mode: str = "rejection_control",
+def recalc_weights(episode: Episode, stop_threshold: float, *,
                    survival_mean: float | None = None) -> np.ndarray:
-    """Per-step training weights after early stopping.
+    """Per-step training weights after early stopping (rejection control).
 
-    Default mode divides each step's importance by its survival probability
-    and scales by the mean survival probability (``survival_mean``; when
-    None, the mean over this episode's own steps); a step of zero
-    importance has zero survival and gets weight 0.  stop_ratio divides
-    by the stop probability instead and refuses zero stop probabilities.
+    Divides each step's importance by its survival probability and scales
+    by the mean survival probability (``survival_mean``; when None, the
+    mean over this episode's own steps); a step of zero importance has
+    zero survival and gets weight 0.
     """
-    if mode not in RECALC_MODES:
-        raise ValueError(f"mode must be one of {RECALC_MODES}")
     imp = np.array([s.importance for s in episode.steps])
     surv = np.array(
         [survival_probability(w, stop_threshold) for w in imp]
     )
     if survival_mean is None:
         survival_mean = float(surv.mean())
-    if mode == "rejection_control":
-        return np.divide(survival_mean * imp, surv,
-                         out=np.zeros(imp.shape), where=imp > 0)
-    stop = 1.0 - surv
-    if np.any(stop == 0.0):
-        raise ValueError(
-            "stop_ratio weight recalculation divides by a zero stop "
-            "probability; use rejection_control for surviving steps"
-        )
-    return survival_mean * imp / stop
+    return np.divide(survival_mean * imp, surv,
+                     out=np.zeros(imp.shape), where=imp > 0)
 
 
 def compute_returns(episode: Episode, gamma: float,
@@ -295,11 +275,10 @@ def traverse_episode(
     stopped = False
     n = len(order)
     for t, feat in enumerate(order):
-        probs = qlearner.target_policy(qnet, s)
+        q = qlearner.q_values(qnet, s)
+        probs = qlearner.target_policy(q)
         if config.behavior_mode == "greedy":
-            action, b_prob = qlearner.behavior_policy(
-                qnet, s, config.epsilon, rng
-            )
+            action, b_prob = qlearner.behavior_policy(q, config.epsilon, rng)
         else:
             action, b_prob = qlearner.random_policy(rng)
         pi_prob = float(probs[action])
@@ -316,7 +295,6 @@ def traverse_episode(
 
         running = incremental_weight(running, pi_prob, b_prob)
         steps.append(EpisodeStep(
-            t=t,
             feature=int(feat),
             state=s,
             action=action,
@@ -335,7 +313,6 @@ def traverse_episode(
 
     return Episode(
         steps=steps,
-        traversal_order=tuple(int(f) for f in order),
         stopped_early=stopped,
         final_subset=subset,
         final_eval=reward_fn(subset),
@@ -454,12 +431,11 @@ def train(split, config: TrainConfig) -> RunReport:
         tr.global_step += len(episode.steps)
 
         weights = recalc_weights(
-            episode, config.stop_threshold, config.recalc_mode,
+            episode, config.stop_threshold,
             survival_mean=tr.window_survival_mean(episode),
         )
         returns = compute_returns(episode, config.gamma, config.return_mode)
         for s, w, g in zip(episode.steps, weights, returns):
-            s.recalc_weight = float(w)
             tr.memory.push(s.state, s.action, w * g)
             tr.survival_window.append(
                 survival_probability(s.importance, config.stop_threshold)

@@ -35,17 +35,16 @@ def q_values(qnet: QNetwork, state: np.ndarray) -> np.ndarray:
     return out[0]
 
 
-def target_policy(qnet: QNetwork, state: np.ndarray) -> np.ndarray:
-    """Softmax over the action values; safe for large magnitudes."""
-    q = q_values(qnet, state)
+def target_policy(q: np.ndarray) -> np.ndarray:
+    """Softmax over the action values ``q``; safe for large magnitudes."""
     z = q - q.max()
     e = np.exp(z)
     return e / e.sum()
 
 
-def behavior_policy(qnet: QNetwork, state: np.ndarray, epsilon: float,
-                    rng: np.random.Generator):
-    """Epsilon-greedy draw.  Returns (action, probability of that action).
+def behavior_policy(q: np.ndarray, epsilon: float, rng: np.random.Generator):
+    """Epsilon-greedy draw over the action values ``q``.  Returns (action,
+    probability of that action).
 
     Greedy action (value ties go to action 0) with probability 1 - epsilon,
     the other action with probability epsilon.  Epsilon must lie strictly
@@ -53,7 +52,6 @@ def behavior_policy(qnet: QNetwork, state: np.ndarray, epsilon: float,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    q = q_values(qnet, state)
     greedy = int(np.argmax(q))
     if rng.random() < 1.0 - epsilon:
         return greedy, 1.0 - epsilon

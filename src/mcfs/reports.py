@@ -2,20 +2,58 @@
 
 Every report is validated against REPORT_SCHEMA before it touches disk.
 Two runs with identical flags produce byte-identical JSON apart from the
-wall-time fields.
+wall-time fields.  The ``config`` block and the ``curves`` rows are the
+fields of ``engine.TrainConfig`` and ``engine.EpisodeStats``, and their
+schemas are generated from those dataclasses.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import jsonschema
 
-SCHEMA_VERSION = 1
+from .engine import MODES, EpisodeStats, TrainConfig
 
-CURVE_COLUMNS = ("episode", "eval", "length", "loss", "wall_ms")
+SCHEMA_VERSION = 2
+
+CURVE_COLUMNS = tuple(f.name for f in fields(EpisodeStats))
+
+_JSON_TYPES = {int: "integer", float: "number"}
+
+
+def _dataclass_schema(cls, minimums=None) -> dict:
+    """Object schema with every field of ``cls`` required and no others.
+
+    Mode fields take their values from ``engine.MODES``, a nested
+    dataclass gets its own object schema, and ``minimums`` maps field
+    names to lower bounds.
+    """
+    minimums = minimums or {}
+    hints = get_type_hints(cls)
+    props = {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        if f.name in MODES:
+            prop = {"enum": list(MODES[f.name])}
+        elif is_dataclass(tp):
+            prop = _dataclass_schema(tp)
+        else:
+            prop = {"type": _JSON_TYPES[tp]}
+        if f.name in minimums:
+            prop["minimum"] = minimums[f.name]
+        props[f.name] = prop
+    return {
+        "type": "object",
+        "properties": props,
+        "required": list(props),
+        "additionalProperties": False,
+    }
+
 
 _METRICS_SCHEMA = {
     "type": "object",
@@ -62,44 +100,7 @@ REPORT_SCHEMA = {
     "type": "object",
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "config": {
-            "type": "object",
-            "properties": {
-                "episodes": {"type": "integer", "minimum": 1},
-                "gamma": {"type": "number"},
-                "epsilon": {"type": "number"},
-                "stop_threshold": {"type": "number"},
-                "shaping_coeff": {"type": "number"},
-                "advise_steps": {"type": "integer"},
-                "max_global_steps": {"type": "integer"},
-                "batch_size": {"type": "integer"},
-                "memory_capacity": {"type": "integer"},
-                "learning_rate": {"type": "number"},
-                "updates_per_episode": {"type": "integer"},
-                "return_mode": {"enum": ["forward", "reversed"]},
-                "recalc_mode": {
-                    "enum": ["rejection_control", "stop_ratio"]
-                },
-                "behavior_mode": {"enum": ["greedy", "random"]},
-                "state_mode": {"enum": ["meta", "autoencoder"]},
-                "utility_mode": {"enum": ["rv", "rd", "rvrd"]},
-                "weights": {
-                    "type": "object",
-                    "properties": {
-                        "w_acc": {"type": "number"},
-                        "w_rv": {"type": "number"},
-                        "w_rd": {"type": "number"},
-                    },
-                    "required": ["w_acc", "w_rv", "w_rd"],
-                    "additionalProperties": False,
-                },
-                "eval_trees": {"type": "integer"},
-                "seed": {"type": "integer"},
-            },
-            "required": ["episodes", "gamma", "epsilon", "stop_threshold",
-                         "shaping_coeff", "advise_steps", "seed", "weights"],
-            "additionalProperties": False,
-        },
+        "config": _dataclass_schema(TrainConfig, {"episodes": 1}),
         "dataset": {
             "type": "object",
             "properties": {
@@ -131,18 +132,9 @@ REPORT_SCHEMA = {
         },
         "curves": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "episode": {"type": "integer", "minimum": 1},
-                    "eval": {"type": "number"},
-                    "length": {"type": "integer", "minimum": 1},
-                    "loss": {"type": "number"},
-                    "wall_ms": {"type": "number"},
-                },
-                "required": list(CURVE_COLUMNS),
-                "additionalProperties": False,
-            },
+            "items": _dataclass_schema(
+                EpisodeStats, {"episode": 1, "length": 1}
+            ),
         },
         "episodes_completed": {"type": "integer", "minimum": 0},
         "total_steps": {"type": "integer", "minimum": 0},
@@ -166,53 +158,19 @@ def subset_payload(indices, feature_names) -> dict:
     return {"indices": idx, "names": [feature_names[i] for i in idx]}
 
 
-def config_to_dict(config) -> dict:
-    w = config.weights
-    return {
-        "episodes": config.episodes,
-        "gamma": config.gamma,
-        "epsilon": config.epsilon,
-        "stop_threshold": config.stop_threshold,
-        "shaping_coeff": config.shaping_coeff,
-        "advise_steps": config.advise_steps,
-        "max_global_steps": config.max_global_steps,
-        "batch_size": config.batch_size,
-        "memory_capacity": config.memory_capacity,
-        "learning_rate": config.learning_rate,
-        "updates_per_episode": config.updates_per_episode,
-        "return_mode": config.return_mode,
-        "recalc_mode": config.recalc_mode,
-        "behavior_mode": config.behavior_mode,
-        "state_mode": config.state_mode,
-        "utility_mode": config.utility_mode,
-        "weights": {"w_acc": w.w_acc, "w_rv": w.w_rv, "w_rd": w.w_rd},
-        "eval_trees": config.eval_trees,
-        "seed": config.seed,
-    }
-
-
 def report_to_dict(run, feature_names, dataset=None, test_metrics=None,
                    baselines=None) -> dict:
     """Flatten an engine report plus harness additions into schema form."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": config_to_dict(run.config),
+        "config": asdict(run.config),
         **({"dataset": dataset} if dataset is not None else {}),
         "best_subset": subset_payload(run.best_subset, feature_names),
         "greedy_subset": subset_payload(run.greedy_subset, feature_names),
         "best_eval": run.best_eval,
         "test_metrics": test_metrics,
         "baselines": baselines,
-        "curves": [
-            {
-                "episode": c.episode,
-                "eval": c.eval,
-                "length": c.length,
-                "loss": c.loss,
-                "wall_ms": c.wall_ms,
-            }
-            for c in run.curves
-        ],
+        "curves": [asdict(c) for c in run.curves],
         "episodes_completed": run.episodes_completed,
         "total_steps": run.total_steps,
         "decision_counts": list(run.decision_counts),

@@ -29,14 +29,14 @@ def batch_episode(importances):
     """One-step-per-sample scaffold for weight recalculation checks."""
     steps = [
         engine.EpisodeStep(
-            t=0, feature=0, state=np.zeros(1), action=1, reward=0.0,
+            feature=0, state=np.zeros(1), action=1, reward=0.0,
             raw_reward=0.0, target_prob=0.5, behavior_prob=0.5,
             importance=float(w),
         )
         for w in importances
     ]
     return engine.Episode(
-        steps=steps, traversal_order=(0,), stopped_early=False,
+        steps=steps, stopped_early=False,
         final_subset=frozenset(), final_eval=0.0,
     )
 
@@ -110,7 +110,7 @@ class TestC3RejectionControl:
             p_hat = float(surv.mean())
 
             weights = engine.recalc_weights(
-                batch_episode(rho[keep]), v, "rejection_control",
+                batch_episode(rho[keep]), v,
                 survival_mean=p_hat,
             )
             # batching one-step episodes must agree with per-episode calls
@@ -118,7 +118,7 @@ class TestC3RejectionControl:
             for j in range(0, kept_idx.size, max(1, kept_idx.size // 25)):
                 single = engine.recalc_weights(
                     batch_episode([rho[kept_idx[j]]]), v,
-                    "rejection_control", survival_mean=p_hat,
+                    survival_mean=p_hat,
                 )[0]
                 assert abs(single - weights[j]) <= 1e-12 * abs(single)
 
@@ -348,9 +348,11 @@ class TestC9EngineInvariants:
         split_ok = True
         for _ in range(100):
             s = rng.normal(size=6)
-            probs = qlearner.target_policy(net, s)
+            probs = qlearner.target_policy(qlearner.q_values(net, s))
             norm_ok = norm_ok and abs(float(probs.sum()) - 1.0) <= 1e-12
-            _, bp = qlearner.behavior_policy(net, s, 0.1, rng)
+            _, bp = qlearner.behavior_policy(
+                qlearner.q_values(net, s), 0.1, rng
+            )
             split_ok = split_ok and bp in (0.9, 0.1)
         checks["target policy normalized"] = norm_ok
         checks["behavior splits epsilon"] = split_ok

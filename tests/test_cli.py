@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcfs import cli, data, forest, reports
+from mcfs import cli, data, engine, forest, reports
 
 
 def run_args(out, extra=()):
@@ -71,22 +71,24 @@ class TestFlagParsing:
         parser = cli.build_parser()
         args = parser.parse_args([
             "run", "--synthetic", "40,4,2", "--return-mode", "reversed",
-            "--recalc-mode", "stop", "--state-repr", "ae",
-            "--behavior", "random", "--utility", "rv",
+            "--state-repr", "ae", "--behavior", "random", "--utility", "rv",
         ])
         cfg = cli._config_from_args(args, parser)
         assert cfg.return_mode == "reversed"
-        assert cfg.recalc_mode == "stop_ratio"
         assert cfg.state_mode == "autoencoder"
         assert cfg.behavior_mode == "random"
         assert cfg.utility_mode == "rv"
+        # the removed weight-recalculation switch is a usage error
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["run", "--synthetic", "40,4,2",
+                               "--recalc-mode", "rc"])
+        assert exc.value.code == 2
 
     def test_default_modes(self):
         parser = cli.build_parser()
         args = parser.parse_args(["run", "--synthetic", "40,4,2"])
         cfg = cli._config_from_args(args, parser)
         assert cfg.return_mode == "forward"
-        assert cfg.recalc_mode == "rejection_control"
         assert cfg.state_mode == "meta"
 
 
@@ -298,11 +300,19 @@ class TestSweep:
 
     def test_failing_arm_in_worker_exits_1(self, tmp_path, monkeypatch,
                                            capsys):
-        # stop_ratio meets a zero stop probability mid-run
+        # fork-started workers inherit the patched engine.train
+        train = engine.train
+
+        def failing_train(split, config):
+            if config.stop_threshold == 1.0:
+                raise ValueError("arm failed")
+            return train(split, config)
+
+        monkeypatch.setattr(engine, "train", failing_train)
         monkeypatch.setenv("MCFS_THREADS", "2")
         code = cli.main([
             "sweep", "--synthetic", "200,8,3", "--episodes", "20",
-            "--recalc-mode", "stop", "--param", "stop-threshold",
+            "--param", "stop-threshold",
             "--values", "0.5,1.0", "--out", str(tmp_path / "sw"),
         ])
         assert code == 1

@@ -14,14 +14,14 @@ def make_episode(rewards_seq=None, importances=None):
     importances = importances or [1.0] * n
     steps = [
         engine.EpisodeStep(
-            t=t, feature=t, state=np.zeros(1), action=1,
+            feature=t, state=np.zeros(1), action=1,
             reward=float(r), raw_reward=float(r), target_prob=0.5,
             behavior_prob=0.5, importance=float(w),
         )
         for t, (r, w) in enumerate(zip(rewards_seq, importances))
     ]
     return engine.Episode(
-        steps=steps, traversal_order=tuple(range(n)), stopped_early=False,
+        steps=steps, stopped_early=False,
         final_subset=frozenset(range(n)), final_eval=0.0,
     )
 
@@ -146,17 +146,6 @@ class TestRecalcWeights:
         got = engine.recalc_weights(ep, 0.5, survival_mean=1.2)
         assert_allclose(got, [0.6, 0.6], rtol=1e-12)
 
-    def test_backward_mode_divides_by_stop(self):
-        ep = make_episode(importances=[0.4, 0.2])
-        got = engine.recalc_weights(ep, 0.5, "stop_ratio")
-        # stops [0.2, 0.6], mean survival 0.6
-        assert_allclose(got, [0.6 * 0.4 / 0.2, 0.6 * 0.2 / 0.6], rtol=1e-12)
-
-    def test_backward_mode_rejects_zero_stop(self):
-        ep = make_episode(importances=[0.8])  # above threshold, never stops
-        with pytest.raises(ValueError):
-            engine.recalc_weights(ep, 0.5, "stop_ratio")
-
 
 class TestRerankFeatures:
     def test_least_decided_first(self):
@@ -257,6 +246,20 @@ class TestTraverseEpisode:
         for s in range(5):
             ep = toy_traverse(cfg, n=12, seed=s)
             assert ep.stopped_early == (len(ep.steps) < 12)
+
+    def test_one_q_forward_per_greedy_step(self, monkeypatch):
+        calls = []
+        q_values = qlearner.q_values
+
+        def counting(qnet, state):
+            calls.append(1)
+            return q_values(qnet, state)
+
+        monkeypatch.setattr(qlearner, "q_values", counting)
+        cfg = engine.TrainConfig(stop_threshold=0.0)
+        ep = toy_traverse(cfg, n=6, seed=0)
+        assert len(ep.steps) == 6
+        assert len(calls) == len(ep.steps)
 
     def test_deterministic_per_seed(self):
         cfg = engine.TrainConfig(stop_threshold=0.6)

@@ -35,7 +35,8 @@ class TestTargetPolicy:
         net = make_net(8, seed=3)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            probs = qlearner.target_policy(net, rng.normal(size=8))
+            q = qlearner.q_values(net, rng.normal(size=8))
+            probs = qlearner.target_policy(q)
             assert probs.shape == (2,)
             assert np.all(probs > 0.0)
             assert_allclose(probs.sum(), 1.0, rtol=1e-12)
@@ -44,7 +45,8 @@ class TestTargetPolicy:
         net = zeroed_net(3)
         # zero net: equal values, uniform target policy
         assert_allclose(
-            qlearner.target_policy(net, np.ones(3)), [0.5, 0.5]
+            qlearner.target_policy(qlearner.q_values(net, np.ones(3))),
+            [0.5, 0.5],
         )
 
     def test_prefers_higher_value(self):
@@ -53,13 +55,14 @@ class TestTargetPolicy:
         for _ in range(20):
             s = rng.normal(size=4)
             q = qlearner.q_values(net, s)
-            probs = qlearner.target_policy(net, s)
+            probs = qlearner.target_policy(q)
             assert probs[np.argmax(q)] >= probs[np.argmin(q)]
 
     def test_safe_under_large_magnitudes(self):
         net = make_net(2, seed=2)
         net.net.set_flat(net.net.get_flat() * 500.0)
-        probs = qlearner.target_policy(net, np.array([30.0, -40.0]))
+        q = qlearner.q_values(net, np.array([30.0, -40.0]))
+        probs = qlearner.target_policy(q)
         assert np.isfinite(probs).all()
         assert_allclose(probs.sum(), 1.0, rtol=1e-12)
 
@@ -68,11 +71,11 @@ class TestBehaviorPolicy:
     def test_probabilities_are_epsilon_split(self):
         net = make_net(4, seed=4)
         rng = np.random.default_rng(1)
-        s = np.ones(4)
-        greedy = int(np.argmax(qlearner.q_values(net, s)))
+        q = qlearner.q_values(net, np.ones(4))
+        greedy = int(np.argmax(q))
         seen = set()
         for _ in range(200):
-            action, prob = qlearner.behavior_policy(net, s, 0.2, rng)
+            action, prob = qlearner.behavior_policy(q, 0.2, rng)
             if action == greedy:
                 assert prob == 0.8
             else:
@@ -83,10 +86,10 @@ class TestBehaviorPolicy:
     def test_frequencies_match_probabilities(self):
         net = make_net(3, seed=6)
         rng = np.random.default_rng(2)
-        s = np.full(3, 0.5)
-        greedy = int(np.argmax(qlearner.q_values(net, s)))
+        q = qlearner.q_values(net, np.full(3, 0.5))
+        greedy = int(np.argmax(q))
         draws = [
-            qlearner.behavior_policy(net, s, 0.1, rng)[0]
+            qlearner.behavior_policy(q, 0.1, rng)[0]
             for _ in range(4000)
         ]
         share = np.mean([a == greedy for a in draws])
@@ -97,7 +100,9 @@ class TestBehaviorPolicy:
         rng = np.random.default_rng(0)
         for eps in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                qlearner.behavior_policy(net, np.zeros(2), eps, rng)
+                qlearner.behavior_policy(
+                    qlearner.q_values(net, np.zeros(2)), eps, rng
+                )
 
     def test_random_policy_uniform(self):
         rng = np.random.default_rng(3)
