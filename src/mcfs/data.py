@@ -19,12 +19,17 @@ class Dataset:
     Labels are class ids in ``[0, n_classes)``.  ``n_classes`` describes the
     source data; a fold produced by splitting keeps the parent's value even
     when some class is absent from that fold.
+
+    Views computed from the rows alone (bin codes, MI tables, column
+    statistics) live on the dataset itself, see ``derived``, so they are
+    freed with it.  The rows must not be modified after construction.
     """
 
     features: np.ndarray
     labels: np.ndarray
     feature_names: list[str]
     n_classes: int
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -60,6 +65,17 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    def derived(self, build):
+        """``build(self)``, computed on first use and kept on the dataset.
+
+        ``build`` is a module-level function of the dataset alone; it is
+        the key, and a dataset that carries views still pickles.
+        """
+        view = self._derived.get(build)
+        if view is None:
+            view = self._derived[build] = build(self)
+        return view
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """New dataset holding the given rows (keeps names and n_classes)."""

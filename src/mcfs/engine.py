@@ -10,6 +10,7 @@ rewards for the first advise_steps environment steps.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -108,16 +109,16 @@ class TrainConfig:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
         if not 0.0 <= self.stop_threshold <= 1.0:
             raise ValueError("stop_threshold must lie in [0, 1]")
-        if self.shaping_coeff < 0:
-            raise ValueError("shaping_coeff must be non-negative")
+        if not (math.isfinite(self.shaping_coeff) and self.shaping_coeff >= 0):
+            raise ValueError("shaping_coeff must be finite and non-negative")
         if self.advise_steps < 0:
             raise ValueError("advise_steps must be non-negative")
         if self.max_global_steps < 1:
             raise ValueError("max_global_steps must be positive")
         if self.batch_size < 1 or self.memory_capacity < 1:
             raise ValueError("batch_size and memory_capacity must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.updates_per_episode < 1:
             raise ValueError("updates_per_episode must be positive")
         if self.eval_trees < 1:
@@ -311,11 +312,13 @@ def traverse_episode(
                 stopped = True
                 break
 
+    # the final subset is the last step's new subset: its raw reward is the
+    # episode's evaluation
     return Episode(
         steps=steps,
         stopped_early=stopped,
         final_subset=subset,
-        final_eval=reward_fn(subset),
+        final_eval=steps[-1].raw_reward,
     )
 
 
@@ -398,16 +401,6 @@ class _Trainer:
             self._utility_cache[subset] = hit
         return hit
 
-    def window_survival_mean(self, episode: Episode) -> float:
-        """Mean survival over replay-memory steps; the fresh episode's own
-        steps stand in while the memory is still empty."""
-        if self.survival_window:
-            return float(np.mean(self.survival_window))
-        return float(np.mean([
-            survival_probability(s.importance, self.config.stop_threshold)
-            for s in episode.steps
-        ]))
-
 
 def train(split, config: TrainConfig) -> RunReport:
     """Run the full training loop and return the audited report."""
@@ -430,9 +423,12 @@ def train(split, config: TrainConfig) -> RunReport:
             tr.history.record(s.feature)
         tr.global_step += len(episode.steps)
 
+        # the mean survival over replay-memory steps; recalc_weights falls
+        # back to the episode's own steps while the memory is still empty
         weights = recalc_weights(
             episode, config.stop_threshold,
-            survival_mean=tr.window_survival_mean(episode),
+            survival_mean=(float(np.mean(tr.survival_window))
+                           if tr.survival_window else None),
         )
         returns = compute_returns(episode, config.gamma, config.return_mode)
         for s, w, g in zip(episode.steps, weights, returns):

@@ -3,13 +3,14 @@
 Trees grow level by level on uint8 bin codes, all trees of a batch at
 once, and a fitted forest is one flat set of node arrays (see
 ``ForestModel``).  Neither growing nor predicting loops over nodes in
-Python; the only per-tree loops draw each tree's random numbers.
+Python; the only per-tree loops draw each tree's random numbers.  A
+training fold's bin edges and codes are computed once for all its columns
+and kept on the dataset (``Dataset.derived``).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,21 +65,6 @@ class MetricReport:
         }
 
 
-class _Bins:
-    """Per-dataset binned view: quantile edges and uint8 codes per column."""
-
-    __slots__ = ("edges", "codes", "nbins", "done")
-
-    def __init__(self, n, d):
-        self.edges = [None] * d
-        self.codes = np.zeros((n, d), dtype=np.uint8)
-        self.nbins = np.ones(d, dtype=np.int64)
-        self.done = np.zeros(d, dtype=bool)
-
-
-_BINS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _column_edges(values: np.ndarray) -> np.ndarray:
     """Candidate split values: all midpoints when the column has few levels,
     interior quantiles otherwise.  A code is the count of edges < value, so
@@ -90,26 +76,15 @@ def _column_edges(values: np.ndarray) -> np.ndarray:
     return np.unique(np.quantile(values, qs))
 
 
-def _bins_for(ds) -> _Bins:
-    bins = _BINS.get(ds)
-    if bins is None:
-        bins = _Bins(ds.n_samples, ds.n_features)
-        _BINS[ds] = bins
-    return bins
-
-
-def _ensure_columns(ds, cols) -> _Bins:
-    bins = _bins_for(ds)
-    for c in cols:
-        if not bins.done[c]:
-            edges = _column_edges(ds.features[:, c])
-            bins.edges[c] = edges
-            bins.nbins[c] = edges.size + 1
-            bins.codes[:, c] = np.searchsorted(
-                edges, ds.features[:, c], side="left"
-            ).astype(np.uint8)
-            bins.done[c] = True
-    return bins
+def _binned(ds):
+    """Every column's edges, its uint8 codes as one (rows, columns) matrix,
+    and its bin count; kept on the dataset by ``Dataset.derived``."""
+    edges = [_column_edges(col) for col in ds.features.T]
+    codes = np.empty(ds.features.shape, dtype=np.uint8)
+    for c, e in enumerate(edges):
+        codes[:, c] = np.searchsorted(e, ds.features[:, c], side="left")
+    nbins = np.array([e.size + 1 for e in edges], dtype=np.int64)
+    return edges, codes, nbins
 
 
 def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
@@ -260,9 +235,9 @@ def train_forest(train, subset, n_trees: int = 100, seed: int = 0,
     if max_depth < 1 or min_leaf < 1:
         raise ValueError("max_depth and min_leaf must be positive")
 
-    bins = _ensure_columns(train, cols)
-    codes_sub = np.ascontiguousarray(bins.codes[:, cols])
-    n_bins = int(bins.nbins[cols].max())
+    edges, codes, nbins = train.derived(_binned)
+    codes_sub = np.ascontiguousarray(codes[:, cols])
+    n_bins = int(nbins[cols].max())
 
     streams = np.random.SeedSequence(seed).spawn(n_trees)
     batch = max(1, _UNIT_BUDGET // max(1, train.n_samples))
@@ -296,7 +271,7 @@ def train_forest(train, subset, n_trees: int = 100, seed: int = 0,
         roots=np.searchsorted(tree[order], np.arange(n_trees)),
         subset=tuple(int(c) for c in cols),
         n_classes=train.n_classes,
-        edges={int(c): bins.edges[c] for c in cols},
+        edges={int(c): edges[c] for c in cols},
     )
 
 

@@ -1,8 +1,10 @@
-"""Histogram mutual information and filter-style feature ranking."""
+"""Histogram mutual information and filter-style feature ranking.
+
+A dataset's column codes, label MI and the pairwise MI asked of it so far
+are kept on the dataset itself (``Dataset.derived``).
+"""
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -67,53 +69,34 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
     return max(mi, 0.0)
 
 
-class _InfoCache:
-    __slots__ = ("codes", "label_mi", "pair_mi")
-
-    def __init__(self, d):
-        self.codes = [None] * d
-        self.label_mi = None
-        self.pair_mi = {}
+def _column_codes(ds) -> list:
+    return [discretize(col) for col in ds.features.T]
 
 
-_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def _label_mi(ds) -> np.ndarray:
+    return np.array([mutual_information(codes, ds.labels)
+                     for codes in ds.derived(_column_codes)])
 
 
-def _cache_for(ds) -> _InfoCache:
-    cache = _CACHES.get(ds)
-    if cache is None:
-        cache = _InfoCache(ds.n_features)
-        _CACHES[ds] = cache
-    return cache
-
-
-def _codes(ds, col: int) -> np.ndarray:
-    cache = _cache_for(ds)
-    if cache.codes[col] is None:
-        cache.codes[col] = discretize(ds.features[:, col])
-    return cache.codes[col]
+def _pair_table(ds) -> dict:
+    """Pairwise MI by (i, j) with i <= j, filled as pairs are asked for."""
+    return {}
 
 
 def feature_label_mi(ds) -> np.ndarray:
-    """Per-column mutual information with the labels (cached per dataset)."""
-    cache = _cache_for(ds)
-    if cache.label_mi is None:
-        cache.label_mi = np.array(
-            [mutual_information(_codes(ds, j), ds.labels)
-             for j in range(ds.n_features)]
-        )
-    return cache.label_mi
+    """Per-column mutual information with the labels (kept on the dataset)."""
+    return ds.derived(_label_mi)
 
 
 def pairwise_mi(ds, i: int, j: int) -> float:
-    """Mutual information between two feature columns (cached, symmetric)."""
+    """Mutual information between two feature columns (kept, symmetric)."""
     if i > j:
         i, j = j, i
-    cache = _cache_for(ds)
-    key = (i, j)
-    if key not in cache.pair_mi:
-        cache.pair_mi[key] = mutual_information(_codes(ds, i), _codes(ds, j))
-    return cache.pair_mi[key]
+    table = ds.derived(_pair_table)
+    if (i, j) not in table:
+        codes = ds.derived(_column_codes)
+        table[i, j] = mutual_information(codes[i], codes[j])
+    return table[i, j]
 
 
 def kbest_select(ds, k: int | None = None) -> list[int]:

@@ -1,8 +1,10 @@
-"""Fixed-length state descriptions of a selected feature subset."""
+"""Fixed-length state descriptions of a selected feature subset.
+
+A dataset's column statistics and column means are computed once and kept
+on the dataset itself (``Dataset.derived``).
+"""
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -11,9 +13,6 @@ from .nn import MLP, mse_loss_grad
 META_STATS_LEN = 49
 LATENT_DIM = 32
 AE_HIDDEN = 128
-
-_STAT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_MEAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _seven(matrix: np.ndarray) -> np.ndarray:
@@ -31,11 +30,7 @@ def _seven(matrix: np.ndarray) -> np.ndarray:
 
 
 def _column_stats(ds) -> np.ndarray:
-    stats = _STAT_CACHE.get(ds)
-    if stats is None:
-        stats = _seven(ds.features.T)  # (7, n_features)
-        _STAT_CACHE[ds] = stats
-    return stats
+    return _seven(ds.features.T)  # (7, n_features)
 
 
 def meta_stats(ds, subset) -> np.ndarray:
@@ -50,16 +45,12 @@ def meta_stats(ds, subset) -> np.ndarray:
         return np.zeros(META_STATS_LEN)
     if cols[0] < 0 or cols[-1] >= ds.n_features:
         raise ValueError("subset contains out-of-range column ids")
-    per_col = _column_stats(ds)[:, cols]     # (7, k)
-    return _seven(per_col).T.ravel()         # row-major over column-stat
+    per_col = ds.derived(_column_stats)[:, cols]  # (7, k)
+    return _seven(per_col).T.ravel()  # row-major over column-stat
 
 
 def _column_means(ds) -> np.ndarray:
-    means = _MEAN_CACHE.get(ds)
-    if means is None:
-        means = ds.features.mean(axis=0)
-        _MEAN_CACHE[ds] = means
-    return means
+    return ds.features.mean(axis=0)
 
 
 def subset_mean_vector(ds, subset) -> np.ndarray:
@@ -69,7 +60,7 @@ def subset_mean_vector(ds, subset) -> np.ndarray:
     if cols:
         if cols[0] < 0 or cols[-1] >= ds.n_features:
             raise ValueError("subset contains out-of-range column ids")
-        v[cols] = _column_means(ds)[cols]
+        v[cols] = ds.derived(_column_means)[cols]
     return v
 
 
@@ -105,7 +96,7 @@ def train_autoencoder(ds, seed: int = 0, n_subsets: int = 256,
     init_ss, data_ss, shuffle_ss = root.spawn(3)
     rng = np.random.default_rng(data_ss)
     d = ds.n_features
-    means = _column_means(ds)
+    means = ds.derived(_column_means)
 
     masks = rng.random((n_subsets, d)) < rng.uniform(
         0.1, 0.9, size=(n_subsets, 1)

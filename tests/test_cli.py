@@ -39,7 +39,8 @@ class TestFlagParsing:
             assert exc.value.code == 2
 
     def test_bad_weights_exit_2(self):
-        for spec in ("1,2", "a,b,c", "-1,0.1,0.1"):
+        for spec in ("1,2", "a,b,c", "-1,0.1,0.1", "nan,0.1,0.1",
+                     "inf,0.1,0.1", "1,0.1,inf"):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["run", "--synthetic", "40,4,2", "--weights", spec])
             assert exc.value.code == 2

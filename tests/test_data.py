@@ -1,10 +1,13 @@
 """Dataset container, CSV loading, splitting, and the synthetic generator."""
 
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mcfs import data
+from mcfs import data, forest, info, state
 
 
 def tiny_dataset(n=12, d=3, seed=0):
@@ -51,6 +54,55 @@ class TestDataset:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(data.DataError):
             data.Dataset(np.ones((3, 2)), [0, 1], ["a", "b"], 2)
+
+
+def used_dataset():
+    """A fold with every derived view built: bins, MI and state."""
+    ds, _ = data.synth_classification(80, 5, 2, seed=3)
+    model = forest.train_forest(ds, [0, 2, 4], n_trees=4, seed=1)
+    info.feature_label_mi(ds)
+    info.pairwise_mi(ds, 1, 3)
+    state.meta_stats(ds, {0, 1})
+    state.subset_mean_vector(ds, {2})
+    return ds, model
+
+
+class TestDerivedViews:
+    def test_built_once_and_kept(self):
+        ds = tiny_dataset()
+        calls = []
+
+        def build(d):
+            calls.append(d)
+            return d.features.sum(axis=0)
+
+        first = ds.derived(build)
+        assert ds.derived(build) is first
+        assert calls == [ds]
+
+    def test_take_copies_share_no_views(self):
+        ds, _ = used_dataset()
+        sub = ds.take(np.arange(40))
+        assert sub._derived == {}
+        assert_allclose(
+            state.subset_mean_vector(sub, {0})[0], sub.features[:, 0].mean()
+        )
+
+    def test_freed_with_last_reference(self):
+        ds, _ = used_dataset()
+        assert len(ds._derived) == 6
+        ref = weakref.ref(ds)
+        del ds
+        assert ref() is None
+
+    def test_pickle_round_trip_keeps_views(self):
+        ds, model = used_dataset()
+        back = pickle.loads(pickle.dumps(ds))
+        assert set(back._derived) == set(ds._derived)
+        again = forest.train_forest(back, [0, 2, 4], n_trees=4, seed=1)
+        for name in ("feature", "split_bin", "left", "leaf_class", "roots"):
+            assert_array_equal(getattr(again, name), getattr(model, name))
+        assert info.pairwise_mi(back, 3, 1) == info.pairwise_mi(ds, 1, 3)
 
 
 class TestCsv:

@@ -32,6 +32,14 @@ def zeroed_qnet(state_dim):
     return net
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["shaping_coeff", "learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            engine.TrainConfig(**{name: value})
+
+
 class TestStopProbability:
     def test_known_values(self):
         assert_allclose(engine.stop_probability(0.3, 0.6), 0.5, rtol=1e-12)

@@ -185,6 +185,24 @@ GOLDEN = [
 ]
 
 
+class TestBinnedView:
+    def test_matches_per_column_edges_and_codes(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(90, 3))
+        # a column with three integer levels gets midpoint edges
+        x[:, 1] = np.arange(90) % 3
+        ds = data.Dataset(x, np.arange(90) % 2, ["a", "b", "c"], 2)
+        edges, codes, nbins = forest._binned(ds)
+        assert codes.dtype == np.uint8
+        assert_array_equal(edges[1], [0.5, 1.5])
+        for c in range(ds.n_features):
+            col = ds.features[:, c]
+            want = forest._column_edges(col)
+            assert_array_equal(edges[c], want)
+            assert_array_equal(codes[:, c], np.searchsorted(want, col))
+            assert nbins[c] == want.size + 1
+
+
 class TestGoldenForest:
     @pytest.mark.parametrize(
         "name, subset, seed, n_trees, max_depth, min_leaf, digest, n_nodes,"

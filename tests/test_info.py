@@ -91,9 +91,13 @@ class TestCachedViews:
 
     def test_pairwise_symmetric(self):
         ds, _ = data.synth_classification(150, 5, 2, seed=6)
+        codes = [info.discretize(ds.features[:, j]) for j in range(5)]
         for i in range(5):
             for j in range(5):
                 assert info.pairwise_mi(ds, i, j) == info.pairwise_mi(ds, j, i)
+                assert info.pairwise_mi(ds, i, j) == info.mutual_information(
+                    codes[min(i, j)], codes[max(i, j)]
+                )
 
     def test_repeat_calls_identical(self):
         ds, _ = data.synth_classification(100, 4, 2, seed=7)

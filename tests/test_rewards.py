@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import data, forest, rewards
+from tabular_oracle import TabularMDP, check_invariance, value_iteration
 
 
 def labeled_dataset(n=120, seed=0):
@@ -163,19 +164,18 @@ def chain_mdp():
     # state 0 can harvest reward 1 forever or fall into absorbing state 1
     rew = np.array([[1.0, 0.0], [0.0, 0.0]])
     nxt = np.array([[0, 1], [1, 1]])
-    return rewards.TabularMDP(rew, nxt, 0.5)
+    return TabularMDP(rew, nxt, 0.5)
 
 
 class TestTabularOracle:
     def test_validates_tables(self):
         with pytest.raises(ValueError):
-            rewards.TabularMDP(np.zeros((2, 2)), np.array([[0, 2], [0, 0]]),
-                               0.9)
+            TabularMDP(np.zeros((2, 2)), np.array([[0, 2], [0, 0]]), 0.9)
         with pytest.raises(ValueError):
-            rewards.TabularMDP(np.zeros((2, 2)), np.zeros((2, 2), int), 1.0)
+            TabularMDP(np.zeros((2, 2)), np.zeros((2, 2), int), 1.0)
 
     def test_value_iteration_analytic_chain(self):
-        q = rewards.value_iteration(chain_mdp())
+        q = value_iteration(chain_mdp())
         # V(0) = 1/(1-gamma) = 2, V(1) = 0
         assert_allclose(q[0, 0], 2.0, atol=1e-9)
         assert_allclose(q[0, 1], 0.0, atol=1e-9)
@@ -184,13 +184,13 @@ class TestTabularOracle:
     def test_self_loop_geometric_sum(self):
         rew = np.array([[3.0, 3.0]])
         nxt = np.zeros((1, 2), dtype=int)
-        q = rewards.value_iteration(rewards.TabularMDP(rew, nxt, 0.9))
+        q = value_iteration(TabularMDP(rew, nxt, 0.9))
         assert_allclose(q, 30.0, rtol=1e-9)
 
     def test_shaping_offset_exact_on_chain(self):
         mdp = chain_mdp()
         potential = np.array([3.0, -1.0])
-        report = rewards.check_invariance(mdp, potential, 2.0)
+        report = check_invariance(mdp, potential, 2.0)
         assert report.max_offset_error <= 1e-9
         assert report.policies_agree
 
@@ -198,13 +198,13 @@ class TestTabularOracle:
         rng = np.random.default_rng(13)
         for trial in range(10):
             s = int(rng.integers(2, 6))
-            mdp = rewards.TabularMDP(
+            mdp = TabularMDP(
                 rng.normal(size=(s, 2)),
                 rng.integers(0, s, size=(s, 2)),
                 0.9,
             )
             potential = rng.normal(size=s)
             coeff = float(rng.choice([0.5, 1.0, 2.0]))
-            report = rewards.check_invariance(mdp, potential, coeff)
+            report = check_invariance(mdp, potential, coeff)
             assert report.max_offset_error <= 1e-6
             assert report.policies_agree
