@@ -179,19 +179,6 @@ def load_csv(path: str, label_col: str) -> Dataset:
     return Dataset(np.vstack(rows), labels, feature_names, len(mapping))
 
 
-def write_csv(ds: Dataset, path: str, label_col: str = "label") -> None:
-    """Write a dataset back to CSV; inverse of load_csv up to float text."""
-    if label_col in ds.feature_names:
-        raise DataError(f"label column name {label_col!r} clashes with a feature")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [label_col])
-        for i in range(ds.n_samples):
-            writer.writerow(
-                [repr(float(v)) for v in ds.features[i]] + [int(ds.labels[i])]
-            )
-
-
 def split_dataset(ds: Dataset, ratio: float, seed: int) -> Split:
     """Shuffled train/test split, stratified by class when possible.
 

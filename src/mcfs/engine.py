@@ -1,11 +1,14 @@
 """Off-policy Monte Carlo training loop for the traversing selector.
 
-One episode walks the features in a history-derived order, the behavior
-policy picking select/deselect per feature.  Importance weights against the
-softmax target policy grow incrementally; degenerate episodes are cut short
-at random with probability rising as the weight falls.  Weighted returns
-train the value net from replay; an information-theoretic potential advises
-rewards for the first advise_steps environment steps.
+One episode first walks the features in a history-derived order, the
+behavior policy picking select/deselect per feature.  Importance weights
+against the softmax target policy grow incrementally; degenerate episodes
+are cut short at random with probability rising as the weight falls.  The
+walk needs no reward, so the episode is scored after it: each step gets its
+subset's reward, advised by an information-theoretic potential for the first
+advise_steps environment steps.  Weighted returns then train the value net
+from replay.  The final greedy selection is the same walk with an argmax,
+never-stopping policy.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ class EpisodeStep:
     feature: int
     state: np.ndarray
     action: int
-    reward: float
-    raw_reward: float
     target_prob: float
     behavior_prob: float
     importance: float
+    # filled in by scoring, after the walk
+    raw_reward: float | None = None
+    reward: float | None = None
 
 
 @dataclass(eq=False)
@@ -60,25 +64,19 @@ class Episode:
     steps: list
     stopped_early: bool
     final_subset: frozenset
-    final_eval: float
-
-
-@dataclass(eq=False)
-class DecisionHistory:
-    """How many times each feature has received a select/deselect decision."""
-
-    counts: np.ndarray
-
-    def record(self, feature: int) -> None:
-        self.counts[feature] += 1
+    final_eval: float | None = None  # the last step's raw reward, once scored
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a run needs; one alternate-form switch included.
+    """Everything a run needs.
 
-    ``return_mode='reversed'`` accumulates past rewards instead of
-    future ones; the default is the standard form.
+    The four mode fields pick alternate forms (allowed values in ``MODES``):
+    ``return_mode='reversed'`` accumulates past rewards instead of future
+    ones, ``behavior_mode='random'`` explores with a fair coin instead of
+    epsilon-greedy, ``state_mode='autoencoder'`` describes a subset by a
+    bottleneck code instead of descriptive statistics, and ``utility_mode``
+    picks the advice potential.  Each default is the standard form.
     """
 
     episodes: int = 300
@@ -235,91 +233,52 @@ def compute_returns(episode: Episode, gamma: float,
     return out
 
 
-def rerank_features(history: DecisionHistory) -> list:
-    """Traversal order: least-decided first, index breaking ties."""
-    counts = np.asarray(history.counts)
+def rerank_features(counts: np.ndarray) -> list:
+    """Traversal order: least-decided first, index breaking ties.
+
+    ``counts`` holds how many select/deselect decisions each feature has
+    received so far.
+    """
     order = np.lexsort((np.arange(counts.size), counts))
     return [int(i) for i in order]
 
 
-def apply_advice(reward: float, u_now: float, u_next: float,
-                 config: TrainConfig, global_step: int) -> float:
-    """Shape the reward with the utility potential during the early window."""
-    if global_step <= config.advise_steps:
-        return shaped_reward(
-            reward, u_now, u_next, config.gamma, config.shaping_coeff
-        )
-    return reward
-
-
-def traverse_episode(
-    qnet,
-    order,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    start_step: int,
-    represent: Callable,
-    reward_fn: Callable,
-    utility_fn: Callable,
-) -> Episode:
+def traverse_episode(qnet, order, represent: Callable, choose: Callable,
+                     stop: Callable) -> Episode:
     """Walk the features once, recording states, decisions, and weights.
 
-    ``start_step`` is the number of environment steps taken before this
-    episode; advising applies while the running global step stays within
-    config.advise_steps.  A stop draw happens after every non-final step
-    with probability stop_probability(importance, stop_threshold).
+    ``choose(q)`` returns the (action, behavior probability) for the Q
+    values of the current state.  ``stop(importance)`` is asked after every
+    non-final step and ends the episode when true.  The state is computed
+    once at the start and again only after a select.  Rewards are left
+    unset: scoring happens after the walk.
     """
     subset = frozenset()
     s = represent(subset)
     running = 1.0
     steps = []
     stopped = False
-    n = len(order)
+    last = len(order) - 1
     for t, feat in enumerate(order):
         q = qlearner.q_values(qnet, s)
-        probs = qlearner.target_policy(q)
-        if config.behavior_mode == "greedy":
-            action, b_prob = qlearner.behavior_policy(q, config.epsilon, rng)
-        else:
-            action, b_prob = qlearner.random_policy(rng)
-        pi_prob = float(probs[action])
-
-        new_subset = subset | {feat} if action == 1 else subset
-        raw = reward_fn(new_subset)
-        g = start_step + t + 1
-        if g <= config.advise_steps:
-            r = apply_advice(
-                raw, utility_fn(subset), utility_fn(new_subset), config, g
-            )
-        else:
-            r = raw
-
+        action, b_prob = choose(q)
+        pi_prob = float(qlearner.target_policy(q)[action])
         running = incremental_weight(running, pi_prob, b_prob)
         steps.append(EpisodeStep(
             feature=int(feat),
             state=s,
             action=action,
-            reward=r,
-            raw_reward=raw,
             target_prob=pi_prob,
             behavior_prob=b_prob,
             importance=running,
         ))
-        subset = new_subset
-        s = represent(subset)
-        if t < n - 1:
-            if rng.random() < stop_probability(running, config.stop_threshold):
-                stopped = True
-                break
-
-    # the final subset is the last step's new subset: its raw reward is the
-    # episode's evaluation
-    return Episode(
-        steps=steps,
-        stopped_early=stopped,
-        final_subset=subset,
-        final_eval=steps[-1].raw_reward,
-    )
+        if action == 1:
+            subset = subset | {feat}
+            s = represent(subset)
+        if t < last and stop(running):
+            stopped = True
+            break
+    return Episode(steps=steps, stopped_early=stopped, final_subset=subset)
 
 
 def make_represent(ds, mode: str, autoencoder=None) -> Callable:
@@ -342,15 +301,13 @@ def final_selection(qnet, ds, config: TrainConfig, autoencoder=None):
     falling to deselect.  A net that scores everything equal therefore
     returns the empty subset.
     """
-    represent = make_represent(ds, config.state_mode, autoencoder)
-    subset = frozenset()
-    s = represent(subset)
-    for feat in range(ds.n_features):
-        q = qlearner.q_values(qnet, s)
-        if int(np.argmax(q)) == 1:
-            subset = subset | {feat}
-            s = represent(subset)
-    return subset
+    episode = traverse_episode(
+        qnet, range(ds.n_features),
+        make_represent(ds, config.state_mode, autoencoder),
+        choose=lambda q: (int(np.argmax(q)), 1.0),
+        stop=lambda importance: False,
+    )
+    return episode.final_subset
 
 
 class _Trainer:
@@ -377,7 +334,7 @@ class _Trainer:
         self.replay_rng = np.random.default_rng(replay_ss)
         self.memory = qlearner.ReplayMemory(config.memory_capacity)
         self.survival_window = deque(maxlen=config.memory_capacity)
-        self.history = DecisionHistory(np.zeros(n, dtype=np.int64))
+        self.counts = np.zeros(n, dtype=np.int64)  # decisions per feature
         self.global_step = 0
         self._reward_cache = {}
         self._utility_cache = {}
@@ -401,6 +358,30 @@ class _Trainer:
             self._utility_cache[subset] = hit
         return hit
 
+    def score(self, episode: Episode, start_step: int) -> None:
+        """Fill in each step's raw and advised reward and the final eval.
+
+        ``start_step`` is the number of environment steps taken before the
+        episode; a step is advised while its global step stays within
+        advise_steps.
+        """
+        cfg = self.config
+        subset = frozenset()
+        for g, step in enumerate(episode.steps, start_step + 1):
+            new_subset = (subset | {step.feature} if step.action == 1
+                          else subset)
+            raw = self.reward(new_subset)
+            step.raw_reward = raw
+            step.reward = raw
+            if g <= cfg.advise_steps:
+                step.reward = shaped_reward(
+                    raw, self.utility(subset), self.utility(new_subset),
+                    cfg.gamma, cfg.shaping_coeff,
+                )
+            subset = new_subset
+        # the final subset is the last step's new subset
+        episode.final_eval = episode.steps[-1].raw_reward
+
 
 def train(split, config: TrainConfig) -> RunReport:
     """Run the full training loop and return the audited report."""
@@ -409,18 +390,26 @@ def train(split, config: TrainConfig) -> RunReport:
     curves = []
     best_subset = frozenset()
     best_eval = 0.0
+    rng = tr.behavior_rng
+    if config.behavior_mode == "greedy":
+        choose = lambda q: qlearner.behavior_policy(q, config.epsilon, rng)
+    else:
+        choose = lambda q: qlearner.random_policy(rng)
+    # the walk asks stop after choose, so each step draws its action first
+    stop = lambda importance: (
+        rng.random() < stop_probability(importance, config.stop_threshold)
+    )
 
     for ep in range(1, config.episodes + 1):
         if tr.global_step >= config.max_global_steps:
             break
         ep_start = time.perf_counter()
-        order = rerank_features(tr.history)
         episode = traverse_episode(
-            tr.qnet, order, config, tr.behavior_rng, tr.global_step,
-            tr.represent, tr.reward, tr.utility,
+            tr.qnet, rerank_features(tr.counts), tr.represent, choose, stop
         )
-        for s in episode.steps:
-            tr.history.record(s.feature)
+        tr.score(episode, tr.global_step)
+        # a feature is visited at most once per episode
+        tr.counts[[s.feature for s in episode.steps]] += 1
         tr.global_step += len(episode.steps)
 
         # the mean survival over replay-memory steps; recalc_weights falls
@@ -466,6 +455,6 @@ def train(split, config: TrainConfig) -> RunReport:
         curves=curves,
         episodes_completed=len(curves),
         total_steps=tr.global_step,
-        decision_counts=tuple(int(c) for c in tr.history.counts),
+        decision_counts=tuple(int(c) for c in tr.counts),
         total_wall_ms=(time.perf_counter() - t_start) * 1000.0,
     )

@@ -33,14 +33,6 @@ def discretize(values: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 
 
-def entropy(codes: np.ndarray) -> float:
-    """Shannon entropy of a code sequence, in nats."""
-    codes = np.asarray(codes, dtype=np.int64)
-    counts = np.bincount(codes - codes.min())
-    p = counts[counts > 0] / codes.size
-    return float(-(p * np.log(p)).sum())
-
-
 def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
     """Mutual information of two discrete code sequences, in nats.
 

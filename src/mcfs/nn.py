@@ -73,21 +73,6 @@ class MLP:
             vhat = v / (1 - ADAM_BETA2 ** t)
             p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
-    # flat views used by the finite-difference checks
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self._params()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        pos = 0
-        for p in self._params():
-            p[...] = flat[pos:pos + p.size].reshape(p.shape)
-            pos += p.size
-        if pos != flat.size:
-            raise ValueError("flat vector does not match parameter count")
-
-    def flat_grads(self, grads) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in grads])
-
 
 def mse_loss_grad(out: np.ndarray, target: np.ndarray):
     """Mean squared error over every output entry, and d(loss)/d(out)."""

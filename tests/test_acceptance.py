@@ -16,6 +16,7 @@ import pytest
 
 from mcfs import cli, data, engine, nn, qlearner
 from tabular_oracle import TabularMDP, check_invariance
+from support import flat_grads, get_flat, set_flat
 
 
 def verdict(num, name, ok, detail=""):
@@ -148,28 +149,28 @@ class TestC4GradientCorrectness:
             # the kink (dead upstream layer), where central differences
             # and the subgradient legitimately disagree; randomizing all
             # parameters keeps the finite-difference check well defined
-            net.set_flat(rng.normal(size=net.get_flat().size))
+            set_flat(net, rng.normal(size=get_flat(net).size))
             batch = int(rng.integers(1, 6))
             x = rng.normal(size=(batch, sizes[0]))
             target = rng.normal(size=(batch, sizes[-1]))
 
             out, cache = net.forward(x)
             _, dout = nn.mse_loss_grad(out, target)
-            flat = net.flat_grads(net.backward(cache, dout))
+            flat = flat_grads(net.backward(cache, dout))
 
-            base = net.get_flat()
+            base = get_flat(net)
             fd = np.empty_like(base)
             h = 1e-6
             for i in range(base.size):
                 probe = base.copy()
                 probe[i] = base[i] + h
-                net.set_flat(probe)
+                set_flat(net, probe)
                 lo_p, _ = nn.mse_loss_grad(net.forward(x)[0], target)
                 probe[i] = base[i] - h
-                net.set_flat(probe)
+                set_flat(net, probe)
                 lo_m, _ = nn.mse_loss_grad(net.forward(x)[0], target)
                 fd[i] = (lo_p - lo_m) / (2 * h)
-            net.set_flat(base)
+            set_flat(net, base)
 
             rel = np.abs(flat - fd) / np.maximum(1e-8,
                                                  np.abs(flat) + np.abs(fd))

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import cli, data, engine, forest, reports
+from support import write_csv
 
 
 def run_args(out, extra=()):
@@ -142,7 +143,7 @@ class TestRunCommand:
     def test_csv_input_round_trip(self, tmp_path):
         ds, _ = data.synth_classification(60, 4, 2, seed=9)
         csv_path = tmp_path / "ds.csv"
-        data.write_csv(ds, csv_path)
+        write_csv(ds, csv_path)
         out = tmp_path / "r"
         code = cli.main(["run", "--data", str(csv_path), "--episodes", "3",
                          "--out", str(out)])

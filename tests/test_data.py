@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mcfs import data, forest, info, state
+from support import write_csv
 
 
 def tiny_dataset(n=12, d=3, seed=0):
@@ -109,7 +110,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         ds = tiny_dataset(15, 4, seed=3)
         path = tmp_path / "ds.csv"
-        data.write_csv(ds, path)
+        write_csv(ds, path)
         back = data.load_csv(path, "label")
         assert back.feature_names == ds.feature_names
         assert back.n_classes == ds.n_classes

@@ -1,10 +1,13 @@
 """Engine pieces: stopping, weights, returns, traversal, and training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import data, engine, qlearner, rewards
+from support import get_flat, set_flat
 
 
 def make_episode(rewards_seq=None, importances=None):
@@ -28,7 +31,7 @@ def make_episode(rewards_seq=None, importances=None):
 
 def zeroed_qnet(state_dim):
     net = qlearner.QNetwork(state_dim, seed=0)
-    net.net.set_flat(np.zeros_like(net.net.get_flat()))
+    set_flat(net.net, np.zeros_like(get_flat(net.net)))
     return net
 
 
@@ -157,56 +160,32 @@ class TestRecalcWeights:
 
 class TestRerankFeatures:
     def test_least_decided_first(self):
-        h = engine.DecisionHistory(np.array([5, 2, 4]))
-        assert engine.rerank_features(h) == [1, 2, 0]
+        assert engine.rerank_features(np.array([5, 2, 4])) == [1, 2, 0]
 
     def test_equal_counts_keep_index_order(self):
-        h = engine.DecisionHistory(np.zeros(5, dtype=np.int64))
-        assert engine.rerank_features(h) == [0, 1, 2, 3, 4]
+        counts = np.zeros(5, dtype=np.int64)
+        assert engine.rerank_features(counts) == [0, 1, 2, 3, 4]
 
     def test_ties_break_by_index(self):
-        h = engine.DecisionHistory(np.array([3, 1, 3, 1]))
-        assert engine.rerank_features(h) == [1, 3, 0, 2]
-
-    def test_record_bookkeeping(self):
-        h = engine.DecisionHistory(np.zeros(4, dtype=np.int64))
-        for f in (2, 0, 2):
-            h.record(f)
-        assert list(h.counts) == [1, 0, 2, 0]
+        assert engine.rerank_features(np.array([3, 1, 3, 1])) == [1, 3, 0, 2]
 
 
-class TestApplyAdvice:
-    def test_frozen_arithmetic(self):
-        cfg = engine.TrainConfig(advise_steps=100, gamma=0.9,
-                                 shaping_coeff=1.0)
-        assert_allclose(
-            engine.apply_advice(1.0, 0.0, 3.0, cfg, 1), 3.7, rtol=1e-12
-        )
-
-    def test_window_zero_never_shapes(self):
-        cfg = engine.TrainConfig(advise_steps=0)
-        assert engine.apply_advice(1.0, 5.0, -5.0, cfg, 1) == 1.0
-
-    def test_zero_coefficient_never_shapes(self):
-        cfg = engine.TrainConfig(advise_steps=100, shaping_coeff=0.0)
-        assert engine.apply_advice(2.0, 5.0, -5.0, cfg, 10) == 2.0
-
-    def test_outside_window_unshaped(self):
-        cfg = engine.TrainConfig(advise_steps=3)
-        assert engine.apply_advice(1.5, 0.0, 9.0, cfg, 4) == 1.5
-
-
-def toy_traverse(config, n=6, qnet=None, seed=0, reward_fn=None,
-                 utility_fn=None):
+def toy_traverse(config, n=6, qnet=None, seed=0, represent=None):
+    """One training-style walk over n features with a one-hot state."""
     qnet = qnet or qlearner.QNetwork(n, seed=1)
-    represent = lambda sub: np.isin(np.arange(n), sorted(sub)).astype(float)
-    reward_fn = reward_fn or (lambda sub: len(sub) / n)
-    utility_fn = utility_fn or (lambda sub: 0.0)
-    rng = np.random.default_rng(seed)
-    return engine.traverse_episode(
-        qnet, list(range(n)), config, rng, 0, represent, reward_fn,
-        utility_fn,
+    represent = represent or (
+        lambda sub: np.isin(np.arange(n), sorted(sub)).astype(float)
     )
+    rng = np.random.default_rng(seed)
+    if config.behavior_mode == "greedy":
+        choose = lambda q: qlearner.behavior_policy(q, config.epsilon, rng)
+    else:
+        choose = lambda q: qlearner.random_policy(rng)
+    stop = lambda w: rng.random() < engine.stop_probability(
+        w, config.stop_threshold
+    )
+    return engine.traverse_episode(qnet, list(range(n)), represent, choose,
+                                   stop)
 
 
 class TestTraverseEpisode:
@@ -239,12 +218,33 @@ class TestTraverseEpisode:
             assert abs(s.importance - expected) <= 1e-12 * abs(expected)
             prev = s.importance
 
+    def test_walk_leaves_rewards_unset(self):
+        ep = toy_traverse(engine.TrainConfig(stop_threshold=0.0), n=5)
+        assert ep.final_eval is None
+        assert all(s.raw_reward is None and s.reward is None
+                   for s in ep.steps)
+
     def test_subset_tracks_select_actions(self):
-        cfg = engine.TrainConfig(stop_threshold=0.0)
-        ep = toy_traverse(cfg, n=7, seed=11)
+        # the walk's subset follows the selects, and scoring rewards the
+        # subset after each step
+        tr = engine._Trainer(small_split(), quick_config())
+        rng = np.random.default_rng(11)
+        ep = engine.traverse_episode(
+            tr.qnet, range(6), tr.represent,
+            lambda q: qlearner.random_policy(rng), lambda w: False,
+        )
+        tr.score(ep, 0)
         taken = {s.feature for s in ep.steps if s.action == 1}
         assert ep.final_subset == frozenset(taken)
-        assert ep.final_eval == len(taken) / 7
+        sub = frozenset()
+        for s in ep.steps:
+            if s.action == 1:
+                sub = sub | {s.feature}
+            assert s.raw_reward == tr.reward(sub)
+        assert ep.final_eval == rewards.eval_reward(
+            ep.final_subset, tr.split, tr.config.weights, tr.config.seed,
+            n_trees=tr.config.eval_trees,
+        )
 
     def test_early_stop_shortens_episode(self):
         cfg = engine.TrainConfig(stop_threshold=1.0, epsilon=0.4)
@@ -254,6 +254,17 @@ class TestTraverseEpisode:
         for s in range(5):
             ep = toy_traverse(cfg, n=12, seed=s)
             assert ep.stopped_early == (len(ep.steps) < 12)
+
+    def test_stop_asked_after_every_non_final_step(self):
+        asked = []
+        rng = np.random.default_rng(0)
+        ep = engine.traverse_episode(
+            qlearner.QNetwork(4, seed=1), range(4),
+            lambda sub: np.zeros(4),
+            lambda q: qlearner.random_policy(rng),
+            lambda w: asked.append(w) or False,
+        )
+        assert asked == [s.importance for s in ep.steps[:-1]]
 
     def test_one_q_forward_per_greedy_step(self, monkeypatch):
         calls = []
@@ -269,6 +280,28 @@ class TestTraverseEpisode:
         assert len(ep.steps) == 6
         assert len(calls) == len(ep.steps)
 
+    def test_state_computed_only_when_subset_changes(self):
+        n = 8
+        calls = []
+
+        def represent(sub):
+            calls.append(sub)
+            return np.isin(np.arange(n), sorted(sub)).astype(float)
+
+        cfg = engine.TrainConfig(behavior_mode="random", stop_threshold=0.0)
+        for seed in range(4):
+            calls.clear()
+            ep = toy_traverse(cfg, n=n, seed=seed, represent=represent)
+            selects = sum(s.action for s in ep.steps)
+            assert 0 < selects < n
+            assert len(calls) == 1 + selects
+            # each step's state is the state of the subset it saw
+            seen = frozenset()
+            for s in ep.steps:
+                assert_allclose(s.state, represent(seen))
+                if s.action == 1:
+                    seen = seen | {s.feature}
+
     def test_deterministic_per_seed(self):
         cfg = engine.TrainConfig(stop_threshold=0.6)
         a = toy_traverse(cfg, n=9, seed=21)
@@ -276,23 +309,6 @@ class TestTraverseEpisode:
         assert [s.action for s in a.steps] == [s.action for s in b.steps]
         assert_allclose([s.importance for s in a.steps],
                         [s.importance for s in b.steps], rtol=0)
-
-    def test_advice_window_shapes_rewards(self):
-        shaped_cfg = engine.TrainConfig(
-            advise_steps=1000, shaping_coeff=1.0, stop_threshold=0.0
-        )
-        plain_cfg = engine.TrainConfig(
-            advise_steps=0, shaping_coeff=1.0, stop_threshold=0.0
-        )
-        # constant offset keeps the discount gap nonzero on every step
-        util = lambda sub: float(len(sub)) + 1.0
-        shaped = toy_traverse(shaped_cfg, n=6, seed=2, utility_fn=util)
-        plain = toy_traverse(plain_cfg, n=6, seed=2, utility_fn=util)
-        assert any(s.reward != s.raw_reward for s in shaped.steps)
-        assert all(s.reward == s.raw_reward for s in plain.steps)
-        # identical draws, so the underlying rewards agree
-        assert_allclose([s.raw_reward for s in shaped.steps],
-                        [s.raw_reward for s in plain.steps])
 
 
 def small_split():
@@ -304,6 +320,60 @@ def quick_config(**kw):
     base = dict(episodes=12, max_global_steps=200, eval_trees=5, seed=3)
     base.update(kw)
     return engine.TrainConfig(**base)
+
+
+def one_step_episode(feature=0, action=1):
+    step = engine.EpisodeStep(
+        feature=feature, state=np.zeros(1), action=action, target_prob=0.5,
+        behavior_prob=0.5, importance=1.0,
+    )
+    return engine.Episode(steps=[step], stopped_early=False,
+                          final_subset=frozenset({feature} if action else ()))
+
+
+class TestScore:
+    @pytest.mark.parametrize("advise_steps, start_step, expected", [
+        pytest.param(100, 0, 3.7, id="inside"),  # 1 + 0.9 * 3 - 0
+        pytest.param(3, 10, 1.0, id="after"),
+        pytest.param(5, 4, 3.7, id="at_end"),  # global step 5
+        pytest.param(0, 0, 1.0, id="past_end"),  # global step 1, window 0
+    ])
+    def test_advice_window(self, advise_steps, start_step, expected):
+        tr = engine._Trainer(small_split(), quick_config(
+            advise_steps=advise_steps, gamma=0.9, shaping_coeff=1.0,
+        ))
+        looked_up = []
+        tr.reward = lambda sub: 1.0
+        tr.utility = lambda sub: looked_up.append(sub) or 3.0 * len(sub)
+        ep = one_step_episode()
+        tr.score(ep, start_step)
+        step = ep.steps[0]
+        assert step.raw_reward == 1.0
+        assert ep.final_eval == 1.0
+        assert_allclose(step.reward, expected, rtol=1e-12)
+        # no utility lookup outside the window
+        assert bool(looked_up) == (start_step + 1 <= advise_steps)
+
+    def test_advice_window_shapes_rewards(self):
+        shaped = engine._Trainer(small_split(), quick_config(
+            advise_steps=1000, shaping_coeff=1.0
+        ))
+        plain = engine._Trainer(small_split(), quick_config(
+            advise_steps=0, shaping_coeff=1.0
+        ))
+        # constant offset keeps the discount gap nonzero on every step
+        shaped.utility = plain.utility = lambda sub: float(len(sub)) + 1.0
+        ep = toy_traverse(engine.TrainConfig(stop_threshold=0.0), n=6,
+                          seed=2)
+        shaped.score(ep, 0)
+        shaped_steps = [(s.raw_reward, s.reward) for s in ep.steps]
+        plain.score(ep, 0)
+        assert any(r != raw for raw, r in shaped_steps)
+        assert all(s.reward == s.raw_reward for s in ep.steps)
+        # the same subsets, so the underlying rewards agree
+        assert [raw for raw, _ in shaped_steps] == [
+            s.raw_reward for s in ep.steps
+        ]
 
 
 class TestTrainLoop:
@@ -368,6 +438,48 @@ class TestTrainLoop:
             # re-ranking never had anything to balance
             assert counts.max() - counts.min() <= 20
             assert counts.min() >= 1
+
+
+# (config overrides, curve lengths, digest of the curve evals and losses,
+# best_subset, greedy_subset, decision_counts); pinned before the walk was
+# split from the scoring
+GOLDEN_RUNS = {
+    "greedy": (
+        dict(stop_threshold=0.5),
+        [3, 2, 3, 6, 4, 6, 2, 2, 2, 4, 4, 6], "dee7aa15b81ac312",
+        (0, 1, 2, 4, 5), (), (8, 8, 7, 7, 7, 7),
+    ),
+    "random": (
+        dict(behavior_mode="random", stop_threshold=0.0),
+        [6] * 12, "ee16a7bb4a527779",
+        (1, 3, 5), (0, 1, 2, 3, 4, 5), (12,) * 6,
+    ),
+    "autoencoder_reversed": (
+        dict(state_mode="autoencoder", return_mode="reversed"),
+        [3, 2, 3, 6, 3, 6, 2, 3, 2, 4, 4, 6], "cf8ffce74d3dc860",
+        (2, 3), (), (8, 8, 7, 7, 7, 7),
+    ),
+    # the window closes at step 3 of the third episode
+    "advice_ends_mid_episode": (
+        dict(advise_steps=15, stop_threshold=0.0),
+        [6] * 12, "d50c05c9419ac08d",
+        (0, 1, 2, 3, 5), (0,), (12,) * 6,
+    ),
+}
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_same_report_as_reference(self, name):
+        overrides, lengths, digest, best, greedy, counts = GOLDEN_RUNS[name]
+        rep = engine.train(small_split(), quick_config(**overrides))
+        assert [c.length for c in rep.curves] == lengths
+        values = np.array([[c.eval for c in rep.curves],
+                           [c.loss for c in rep.curves]])
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
+        assert rep.best_subset == best
+        assert rep.greedy_subset == greedy
+        assert rep.decision_counts == counts
 
 
 class TestFinalSelection:

@@ -5,24 +5,25 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import nn
+from support import flat_grads, get_flat, set_flat
 
 
 def finite_difference_grads(net, x, target, h=1e-6):
     """Central differences on the flattened parameter vector."""
-    base = net.get_flat()
+    base = get_flat(net)
     grads = np.empty_like(base)
     for i in range(base.size):
         probe = base.copy()
         probe[i] = base[i] + h
-        net.set_flat(probe)
+        set_flat(net, probe)
         out, _ = net.forward(x)
         lo_plus, _ = nn.mse_loss_grad(out, target)
         probe[i] = base[i] - h
-        net.set_flat(probe)
+        set_flat(net, probe)
         out, _ = net.forward(x)
         lo_minus, _ = nn.mse_loss_grad(out, target)
         grads[i] = (lo_plus - lo_minus) / (2 * h)
-    net.set_flat(base)
+    set_flat(net, base)
     return grads
 
 
@@ -39,7 +40,7 @@ class TestInit:
     def test_seeded_init_deterministic(self):
         a = nn.MLP([4, 6, 3], seed=42)
         b = nn.MLP([4, 6, 3], seed=42)
-        assert_allclose(a.get_flat(), b.get_flat())
+        assert_allclose(get_flat(a), get_flat(b))
 
     def test_rejects_too_few_sizes(self):
         with pytest.raises(ValueError):
@@ -81,7 +82,7 @@ class TestGradients:
             out, cache = net.forward(x)
             _, dout = nn.mse_loss_grad(out, target)
             grads = net.backward(cache, dout)
-            flat = net.flat_grads(grads)
+            flat = flat_grads(grads)
             fd = finite_difference_grads(net, x, target)
             err = np.abs(flat - fd) / np.maximum(1e-8, np.abs(flat) + np.abs(fd))
             assert err.max() < 1e-5
@@ -118,12 +119,12 @@ class TestAdam:
                 out, cache = net.forward(x)
                 _, dout = nn.mse_loss_grad(out, t)
                 net.adam_step(net.backward(cache, dout), lr=0.05)
-            return net.get_flat()
+            return get_flat(net)
 
         assert_allclose(run(), run())
 
     def test_flat_round_trip(self):
         net = nn.MLP([3, 4, 2], seed=8)
-        flat = net.get_flat()
-        net.set_flat(flat * 2.0)
-        assert_allclose(net.get_flat(), flat * 2.0)
+        flat = get_flat(net)
+        set_flat(net, flat * 2.0)
+        assert_allclose(get_flat(net), flat * 2.0)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import qlearner
+from support import get_flat, set_flat
 
 
 def make_net(state_dim=6, seed=0):
@@ -13,7 +14,7 @@ def make_net(state_dim=6, seed=0):
 
 def zeroed_net(state_dim=6):
     net = make_net(state_dim)
-    net.net.set_flat(np.zeros_like(net.net.get_flat()))
+    set_flat(net.net, np.zeros_like(get_flat(net.net)))
     return net
 
 
@@ -60,7 +61,7 @@ class TestTargetPolicy:
 
     def test_safe_under_large_magnitudes(self):
         net = make_net(2, seed=2)
-        net.net.set_flat(net.net.get_flat() * 500.0)
+        set_flat(net.net, get_flat(net.net) * 500.0)
         q = qlearner.q_values(net, np.array([30.0, -40.0]))
         probs = qlearner.target_policy(q)
         assert np.isfinite(probs).all()
