@@ -249,20 +249,23 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
 
     ``choose(q)`` returns the (action, behavior probability) for the Q
     values of the current state.  ``stop(importance)`` is asked after every
-    non-final step and ends the episode when true.  The state is computed
-    once at the start and again only after a select.  Rewards are left
-    unset: scoring happens after the walk.
+    non-final step and ends the episode when true.  The net does not change
+    during a walk and the state changes only with the subset, so the state,
+    its Q values and the target policy are computed once at the start and
+    again only after a select.  Rewards are left unset: scoring happens
+    after the walk.
     """
     subset = frozenset()
     s = represent(subset)
+    q = qlearner.q_values(qnet, s)
+    target = qlearner.target_policy(q)
     running = 1.0
     steps = []
     stopped = False
     last = len(order) - 1
     for t, feat in enumerate(order):
-        q = qlearner.q_values(qnet, s)
         action, b_prob = choose(q)
-        pi_prob = float(qlearner.target_policy(q)[action])
+        pi_prob = float(target[action])
         running = incremental_weight(running, pi_prob, b_prob)
         steps.append(EpisodeStep(
             feature=int(feat),
@@ -275,6 +278,8 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
         if action == 1:
             subset = subset | {feat}
             s = represent(subset)
+            q = qlearner.q_values(qnet, s)
+            target = qlearner.target_policy(q)
         if t < last and stop(running):
             stopped = True
             break

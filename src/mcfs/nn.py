@@ -1,4 +1,10 @@
-"""Minimal fully-connected network with analytic gradients and Adam."""
+"""Minimal fully-connected network with analytic gradients and Adam.
+
+Every parameter lives in one flat float64 vector, every weight matrix first
+and then every bias.  ``weights`` and ``biases`` are reshaped views into it,
+so an in-place edit of either is an edit of the vector, and one Adam step is
+a single pass of elementwise operations over the whole vector.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +20,8 @@ class MLP:
 
     Weights are updated in place by ``adam_step``.  ``forward`` returns the
     output batch plus the cache ``backward`` needs; ``backward`` maps an
-    output gradient to parameter gradients.
+    output gradient to parameter gradients, weights first, in the order of
+    ``params``.
     """
 
     def __init__(self, sizes, seed: int = 0):
@@ -22,18 +29,24 @@ class MLP:
             raise ValueError("need at least input and output sizes")
         rng = np.random.default_rng(seed)
         self.sizes = list(sizes)
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        n_weights = sum(fan_in * fan_out for fan_in, fan_out in shapes)
+        self.params = np.zeros(n_weights + sum(sizes[1:]))
         self.weights = []
         self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        w_pos, b_pos = 0, n_weights
+        for fan_in, fan_out in shapes:
+            w = self.params[w_pos:w_pos + fan_in * fan_out]
+            w = w.reshape(fan_in, fan_out)
             lim = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        self._m = [np.zeros_like(w) for w in self._params()]
-        self._v = [np.zeros_like(w) for w in self._params()]
+            w[...] = rng.uniform(-lim, lim, size=(fan_in, fan_out))
+            self.weights.append(w)
+            self.biases.append(self.params[b_pos:b_pos + fan_out])
+            w_pos += fan_in * fan_out
+            b_pos += fan_out
+        self._m = np.zeros_like(self.params)
+        self._v = np.zeros_like(self.params)
         self._t = 0
-
-    def _params(self):
-        return self.weights + self.biases
 
     def forward(self, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -62,16 +75,18 @@ class MLP:
         return grads_w + grads_b
 
     def adam_step(self, grads, lr: float):
+        """One Adam update from ``backward``'s gradient list."""
         self._t += 1
         t = self._t
-        for p, g, m, v in zip(self._params(), grads, self._m, self._v):
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * np.square(g)
-            mhat = m / (1 - ADAM_BETA1 ** t)
-            vhat = v / (1 - ADAM_BETA2 ** t)
-            p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        g = np.concatenate([g.ravel() for g in grads])
+        m, v = self._m, self._v
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * np.square(g)
+        mhat = m / (1 - ADAM_BETA1 ** t)
+        vhat = v / (1 - ADAM_BETA2 ** t)
+        self.params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def mse_loss_grad(out: np.ndarray, target: np.ndarray):

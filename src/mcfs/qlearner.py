@@ -1,8 +1,10 @@
-"""Action-value network, derived policies, and replay memory."""
+"""Action-value network, derived policies, and replay memory.
+
+The replay memory is a ring of preallocated arrays, so a sample is one
+fancy index per array and comes out in the batch form ``train_step`` takes.
+"""
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -66,53 +68,78 @@ def random_policy(rng: np.random.Generator):
 def train_step(qnet: QNetwork, batch, lr: float = DEFAULT_LR) -> float:
     """One Adam update toward the stored weighted returns.
 
-    ``batch`` holds (state, action, weighted_return) triples.  The loss is
-    the mean squared gap between Q(state, action) and the target, measured
+    ``batch`` is a (states, actions, weighted_returns) triple of arrays, one
+    row per sample, as ``ReplayMemory.sample`` returns it.  The loss is the
+    mean squared gap between Q(state, action) and the target, measured
     before the update; that pre-update value is returned.
     """
-    if len(batch) == 0:
+    states, actions, targets = batch
+    states = np.asarray(states, dtype=np.float64)
+    actions = np.asarray(actions)
+    targets = np.asarray(targets, dtype=np.float64)
+    if len(targets) == 0:
         raise ValueError("empty training batch")
-    states = np.stack([np.asarray(b[0], dtype=np.float64) for b in batch])
-    actions = np.array([int(b[1]) for b in batch])
-    targets = np.array([float(b[2]) for b in batch])
     if not np.all(np.isfinite(targets)):
         raise ValueError("non-finite training targets")
     if not np.all((actions >= 0) & (actions < N_ACTIONS)):
         raise ValueError("actions must be 0 or 1")
 
     out, cache = qnet.net.forward(states)
-    rows = np.arange(len(batch))
+    rows = np.arange(len(targets))
     err = out[rows, actions] - targets
     loss = float(np.mean(np.square(err)))
     dout = np.zeros_like(out)
-    dout[rows, actions] = 2.0 * err / len(batch)
+    dout[rows, actions] = 2.0 * err / len(targets)
     grads = qnet.net.backward(cache, dout)
     qnet.net.adam_step(grads, lr)
     return loss
 
 
 class ReplayMemory:
-    """Bounded FIFO of (state, action, weighted_return) tuples."""
+    """Bounded FIFO of (state, action, weighted_return) rows.
+
+    The rows sit in ring arrays; ``_head`` is the slot the next push writes,
+    and once the ring is full it also holds the oldest row.  ``states`` is
+    allocated on the first push, when the state width is known.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items = deque(maxlen=capacity)
+        self.states = None
+        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.targets = np.zeros(capacity)
+        self._head = 0
+        self._size = 0
 
     def push(self, state, action, weighted_return) -> None:
-        self._items.append(
-            (np.asarray(state, dtype=np.float64), int(action),
-             float(weighted_return))
-        )
+        state = np.asarray(state, dtype=np.float64)
+        if self.states is None:
+            self.states = np.zeros((self.capacity, *state.shape))
+        if state.shape != self.states.shape[1:]:
+            raise ValueError(
+                f"state has shape {state.shape}, memory holds "
+                f"{self.states.shape[1:]}"
+            )
+        self.states[self._head] = state
+        self.actions[self._head] = int(action)
+        self.targets[self._head] = float(weighted_return)
+        self._head = (self._head + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(self, rng: np.random.Generator, k: int = DEFAULT_BATCH):
-        """Uniform draw without replacement; clamps k to the current size."""
-        if len(self._items) == 0:
+        """Uniform draw without replacement; clamps k to the current size.
+
+        Returns (states, actions, weighted_returns) arrays.  Draw i is the
+        i-th oldest row, so equal rngs draw the same rows as a FIFO list.
+        """
+        if self._size == 0:
             raise ValueError("cannot sample from an empty replay memory")
-        k = min(k, len(self._items))
-        idx = rng.choice(len(self._items), size=k, replace=False)
-        return [self._items[i] for i in idx]
+        k = min(k, self._size)
+        idx = rng.choice(self._size, size=k, replace=False)
+        rows = (idx + (self._head - self._size)) % self.capacity
+        return self.states[rows], self.actions[rows], self.targets[rows]
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size

@@ -13,19 +13,36 @@ from .nn import MLP, mse_loss_grad
 META_STATS_LEN = 49
 LATENT_DIM = 32
 AE_HIDDEN = 128
+_QUARTILES = np.array([0.25, 0.5, 0.75])
 
 
 def _seven(matrix: np.ndarray) -> np.ndarray:
-    """mean, std, min, 25%, median, 75%, max along the last axis."""
-    q = np.percentile(matrix, [25.0, 50.0, 75.0], axis=-1)
+    """mean, std, min, 25%, median, 75%, max along the last axis.
+
+    The quartiles are ``np.percentile``'s default linear interpolation,
+    written out on one sort so that they come out bit for bit the same:
+    numpy interpolates from the upper neighbour when the weight is at
+    least one half.
+    """
+    ordered = np.sort(matrix, axis=-1)
+    n = ordered.shape[-1]
+    pos = (n - 1) * _QUARTILES
+    below = np.floor(pos)
+    t = pos - below
+    below = below.astype(np.intp)
+    lo = ordered[..., below]
+    # a single value (n = 1) has no upper neighbour, and its weight t is 0
+    hi = ordered[..., np.minimum(below + 1, n - 1)]
+    diff = hi - lo
+    q = np.where(t >= 0.5, hi - diff * (1 - t), lo + diff * t)
     return np.stack([
         matrix.mean(axis=-1),
         matrix.std(axis=-1),
-        matrix.min(axis=-1),
-        q[0],
-        q[1],
-        q[2],
-        matrix.max(axis=-1),
+        ordered[..., 0],
+        q[..., 0],
+        q[..., 1],
+        q[..., 2],
+        ordered[..., -1],
     ])
 
 

@@ -1,26 +1,26 @@
 """Helpers that only the tests need: flat parameter views of an MLP, a CSV
-writer for datasets, and the entropy of a code sequence."""
+writer for datasets, the entropy of a code sequence, and the plain forms
+that the fast state statistics, Adam step and replay ring are pinned
+against."""
 
 import csv
+from collections import deque
 
 import numpy as np
 
-from mcfs import data
+from mcfs import data, nn
 
 
 def get_flat(net) -> np.ndarray:
-    """Every weight, then every bias, of ``net`` as one vector."""
-    return np.concatenate([p.ravel() for p in net.weights + net.biases])
+    """Every weight, then every bias, of ``net`` as one vector (a copy)."""
+    return net.params.copy()
 
 
 def set_flat(net, flat: np.ndarray) -> None:
     """Write a vector laid out as ``get_flat`` back into ``net`` in place."""
-    pos = 0
-    for p in net.weights + net.biases:
-        p[...] = flat[pos:pos + p.size].reshape(p.shape)
-        pos += p.size
-    if pos != flat.size:
+    if flat.shape != net.params.shape:
         raise ValueError("flat vector does not match parameter count")
+    net.params[...] = flat
 
 
 def flat_grads(grads) -> np.ndarray:
@@ -49,3 +49,59 @@ def entropy(codes: np.ndarray) -> float:
     counts = np.bincount(codes - codes.min())
     p = counts[counts > 0] / codes.size
     return float(-(p * np.log(p)).sum())
+
+
+def percentile_seven(matrix: np.ndarray) -> np.ndarray:
+    """``state._seven`` written with ``np.percentile``: its reference."""
+    q = np.percentile(matrix, [25.0, 50.0, 75.0], axis=-1)
+    return np.stack([
+        matrix.mean(axis=-1),
+        matrix.std(axis=-1),
+        matrix.min(axis=-1),
+        q[0],
+        q[1],
+        q[2],
+        matrix.max(axis=-1),
+    ])
+
+
+class ListAdam:
+    """Adam run one parameter array at a time on copies of ``params``: the
+    reference for ``MLP.adam_step``."""
+
+    def __init__(self, params):
+        self.params = [np.array(p) for p in params]
+        self._m = [np.zeros_like(p) for p in self.params]
+        self._v = [np.zeros_like(p) for p in self.params]
+        self._t = 0
+
+    def step(self, grads, lr: float) -> None:
+        self._t += 1
+        t = self._t
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
+            m *= nn.ADAM_BETA1
+            m += (1 - nn.ADAM_BETA1) * g
+            v *= nn.ADAM_BETA2
+            v += (1 - nn.ADAM_BETA2) * np.square(g)
+            mhat = m / (1 - nn.ADAM_BETA1 ** t)
+            vhat = v / (1 - nn.ADAM_BETA2 ** t)
+            p -= lr * mhat / (np.sqrt(vhat) + nn.ADAM_EPS)
+
+
+class DequeReplay:
+    """Bounded FIFO of (state, action, weighted_return) tuples: the
+    reference for ``qlearner.ReplayMemory``."""
+
+    def __init__(self, capacity: int):
+        self._items = deque(maxlen=capacity)
+
+    def push(self, state, action, weighted_return) -> None:
+        self._items.append(
+            (np.asarray(state, dtype=np.float64), int(action),
+             float(weighted_return))
+        )
+
+    def sample(self, rng: np.random.Generator, k: int):
+        k = min(k, len(self._items))
+        idx = rng.choice(len(self._items), size=k, replace=False)
+        return [self._items[i] for i in idx]

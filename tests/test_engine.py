@@ -266,7 +266,7 @@ class TestTraverseEpisode:
         )
         assert asked == [s.importance for s in ep.steps[:-1]]
 
-    def test_one_q_forward_per_greedy_step(self, monkeypatch):
+    def test_one_q_forward_per_state(self, monkeypatch):
         calls = []
         q_values = qlearner.q_values
 
@@ -275,10 +275,17 @@ class TestTraverseEpisode:
             return q_values(qnet, state)
 
         monkeypatch.setattr(qlearner, "q_values", counting)
-        cfg = engine.TrainConfig(stop_threshold=0.0)
-        ep = toy_traverse(cfg, n=6, seed=0)
-        assert len(ep.steps) == 6
-        assert len(calls) == len(ep.steps)
+        cfg = engine.TrainConfig(epsilon=0.3, stop_threshold=0.2)
+        qnet = qlearner.QNetwork(8, seed=1)
+        for seed in range(6):
+            calls.clear()
+            ep = toy_traverse(cfg, n=8, qnet=qnet, seed=seed)
+            selects = sum(s.action for s in ep.steps)
+            assert 0 < selects < len(ep.steps)
+            assert len(calls) == 1 + selects
+            for s in ep.steps:
+                pi = qlearner.target_policy(q_values(qnet, s.state))
+                assert s.target_prob == pi[s.action]
 
     def test_state_computed_only_when_subset_changes(self):
         n = 8

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import nn
-from support import flat_grads, get_flat, set_flat
+from support import ListAdam, flat_grads, get_flat, set_flat
 
 
 def finite_difference_grads(net, x, target, h=1e-6):
@@ -122,6 +122,32 @@ class TestAdam:
             return get_flat(net)
 
         assert_allclose(run(), run())
+
+    @pytest.mark.parametrize("sizes", [[49, 64, 8, 2], [12, 128, 32, 128, 12]])
+    def test_matches_per_parameter_loop(self, sizes):
+        # the Q-net shape and an autoencoder shape
+        net = nn.MLP(sizes, seed=4)
+        ref = ListAdam(net.weights + net.biases)
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            x = rng.normal(size=(16, sizes[0]))
+            target = rng.normal(size=(16, sizes[-1]))
+            out, cache = net.forward(x)
+            _, dout = nn.mse_loss_grad(out, target)
+            grads = net.backward(cache, dout)
+            net.adam_step(grads, lr=0.01)
+            ref.step(grads, lr=0.01)
+            for p, r in zip(net.weights + net.biases, ref.params):
+                assert np.array_equal(p, r)
+
+    def test_parameter_views_write_through(self):
+        net = nn.MLP([3, 4, 2], seed=1)
+        x = np.ones((2, 3))
+        before, _ = net.forward(x)
+        net.biases[-1][1] += 5.0
+        after, _ = net.forward(x)
+        assert_allclose(after[:, 1] - before[:, 1], 5.0)
+        assert np.array_equal(after[:, 0], before[:, 0])
 
     def test_flat_round_trip(self):
         net = nn.MLP([3, 4, 2], seed=8)

@@ -5,11 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import qlearner
-from support import get_flat, set_flat
+from support import DequeReplay, get_flat, set_flat
 
 
 def make_net(state_dim=6, seed=0):
     return qlearner.QNetwork(state_dim, seed=seed)
+
+
+def as_batch(rows):
+    """(state, action, target) rows in ``train_step``'s array form."""
+    states, actions, targets = zip(*rows)
+    return np.stack(states), np.array(actions), np.array(targets)
 
 
 def zeroed_net(state_dim=6):
@@ -117,10 +123,10 @@ class TestTrainStep:
     def test_loss_decreases_on_fixed_batch(self):
         net = make_net(5, seed=7)
         rng = np.random.default_rng(4)
-        batch = [
+        batch = as_batch([
             (rng.normal(size=5), int(rng.integers(0, 2)), rng.normal())
             for _ in range(16)
-        ]
+        ])
         first = qlearner.train_step(net, batch, lr=0.01)
         for _ in range(200):
             last = qlearner.train_step(net, batch, lr=0.01)
@@ -130,22 +136,24 @@ class TestTrainStep:
         # identical states/targets fit perfectly regardless of the value
         # the untaken action holds
         net = zeroed_net(3)
-        batch = [(np.zeros(3), 0, 0.0)] * 4
+        batch = as_batch([(np.zeros(3), 0, 0.0)] * 4)
         loss = qlearner.train_step(net, batch, lr=0.01)
         assert loss < 1e-20
 
     def test_rejects_bad_targets_and_actions(self):
         net = make_net(2)
         with pytest.raises(ValueError):
-            qlearner.train_step(net, [(np.zeros(2), 0, np.nan)])
+            qlearner.train_step(net, as_batch([(np.zeros(2), 0, np.nan)]))
         with pytest.raises(ValueError):
-            qlearner.train_step(net, [(np.zeros(2), 3, 1.0)])
+            qlearner.train_step(net, as_batch([(np.zeros(2), 3, 1.0)]))
         with pytest.raises(ValueError):
-            qlearner.train_step(net, [])
+            qlearner.train_step(
+                net, (np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0))
+            )
 
     def test_returns_pre_update_loss(self):
         net = make_net(4, seed=8)
-        batch = [(np.ones(4), 1, 2.0)]
+        batch = as_batch([(np.ones(4), 1, 2.0)])
         q_before = qlearner.q_values(net, np.ones(4))[1]
         loss = qlearner.train_step(net, batch, lr=0.01)
         assert_allclose(loss, (q_before - 2.0) ** 2, rtol=1e-10)
@@ -158,7 +166,8 @@ class TestReplayMemory:
             mem.push(np.array([float(i)]), 0, float(i))
         assert len(mem) == 3
         rng = np.random.default_rng(0)
-        kept = {int(s[0]) for s, _, _ in mem.sample(rng, 3)}
+        states, _, _ = mem.sample(rng, 3)
+        kept = {int(s[0]) for s in states}
         assert kept == {2, 3, 4}
 
     def test_sample_without_replacement(self):
@@ -166,19 +175,45 @@ class TestReplayMemory:
         for i in range(10):
             mem.push(np.array([float(i)]), 1, 0.0)
         rng = np.random.default_rng(1)
-        got = [int(s[0]) for s, _, _ in mem.sample(rng, 10)]
+        states, _, _ = mem.sample(rng, 10)
+        got = [int(s[0]) for s in states]
         assert sorted(got) == list(range(10))
 
     def test_sample_clamps_to_size(self):
         mem = qlearner.ReplayMemory(capacity=10)
         mem.push(np.zeros(2), 0, 1.0)
         rng = np.random.default_rng(2)
-        assert len(mem.sample(rng, 16)) == 1
+        states, actions, targets = mem.sample(rng, 16)
+        assert len(states) == len(actions) == len(targets) == 1
 
     def test_empty_sample_raises(self):
         mem = qlearner.ReplayMemory(capacity=4)
         with pytest.raises(ValueError):
             mem.sample(np.random.default_rng(0), 2)
+
+    def test_same_rows_as_fifo_list(self):
+        # 2.5 times the capacity: the ring fills, then wraps past its start
+        cap = 40
+        mem, ref = qlearner.ReplayMemory(cap), DequeReplay(cap)
+        rng_mem = np.random.default_rng(12)
+        rng_ref = np.random.default_rng(12)
+        data_rng = np.random.default_rng(13)
+        for i in range(cap * 5 // 2):
+            row = (data_rng.normal(size=3), i % 2, data_rng.normal())
+            mem.push(*row)
+            ref.push(*row)
+            for k in (1, 16, cap):
+                states, actions, targets = mem.sample(rng_mem, k)
+                want = ref.sample(rng_ref, k)
+                assert np.array_equal(states, np.stack([w[0] for w in want]))
+                assert np.array_equal(actions, [w[1] for w in want])
+                assert np.array_equal(targets, [w[2] for w in want])
+
+    def test_rejects_state_of_another_shape(self):
+        mem = qlearner.ReplayMemory(capacity=4)
+        mem.push(np.zeros(3), 0, 1.0)
+        with pytest.raises(ValueError):
+            mem.push(np.zeros(1), 0, 1.0)
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import data, state
+from support import percentile_seven
 
 
 def toy_dataset(n=60, d=6, seed=0):
@@ -58,6 +59,32 @@ class TestMetaStats:
         ds = toy_dataset(d=4)
         with pytest.raises(ValueError):
             state.meta_stats(ds, {7})
+
+
+class TestSevenStats:
+    """The sorted-row statistics equal the ``np.percentile`` form bit for
+    bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "rounded", "constant"])
+    def test_matches_percentile_form(self, kind):
+        rng = np.random.default_rng(["random", "rounded",
+                                     "constant"].index(kind))
+        for k in range(1, 121):
+            m = rng.normal(size=(7, k)) * rng.uniform(0.1, 100.0)
+            if kind == "rounded":
+                m = np.round(m)  # many ties
+            elif kind == "constant":
+                m = np.full((7, k), m[0, 0])
+            got = state._seven(m)
+            assert got.shape == (7, 7)
+            assert np.array_equal(got, percentile_seven(m))
+
+    def test_column_stats_shape(self):
+        for seed, (n, d) in enumerate([(60, 6), (2, 5), (3, 1), (257, 40)]):
+            ds = toy_dataset(n=n, d=d, seed=seed)
+            got = state._column_stats(ds)
+            assert got.shape == (7, d)
+            assert np.array_equal(got, percentile_seven(ds.features.T))
 
 
 class TestSubsetMeanVector:
