@@ -1,5 +1,10 @@
 """Command-line harness: runs, baselines, parameter sweeps, reports.
 
+Each training flag sets one ``engine.TrainConfig`` field (``CONFIG_FLAGS``),
+and the field owns the flag's default, type and valid range: a value the
+config rejects exits 2 with the field's name, before any data is loaded.
+A sweep value is cast by its field's type the same way.
+
 Evaluation protocol: one stratified 80/20 split per seed.  Training
 rewards come from a nested 80/20 split of the training fold, so the outer
 test fold stays untouched until the final report.  Baselines share the
@@ -23,73 +28,42 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import data, engine, forest, info, reports
-from .rewards import UTILITY_MODES, RewardWeights
+from .rewards import RewardWeights
 
 TRAIN_RATIO = 0.8
 FINAL_TREES = 100
-FINAL_DEPTH = 12
-FINAL_MIN_LEAF = 2
+
+# each config flag and the TrainConfig field it sets; the field's default,
+# type hint and range check are the flag's
+CONFIG_FLAGS = {
+    "--episodes": "episodes",
+    "--gamma": "gamma",
+    "--epsilon": "epsilon",
+    "--stop-threshold": "stop_threshold",
+    "--shaping-coeff": "shaping_coeff",
+    "--advise-steps": "advise_steps",
+    "--seed": "seed",
+    "--return-mode": "return_mode",
+    "--behavior": "behavior_mode",
+    "--state-repr": "state_mode",
+    "--utility": "utility_mode",
+    "--weights": "weights",
+}
+_FIELD_TYPES = get_type_hints(engine.TrainConfig)
 
 _STATE_FLAGS = {"meta": "meta", "ae": "autoencoder"}
 
 SWEEP_PARAMS = {
-    "stop-threshold": ("stop_threshold", float),
-    "behavior": ("behavior_mode", str),
-    "advise-steps": ("advise_steps", int),
-    "utility-mode": ("utility_mode", str),
+    "stop-threshold": "stop_threshold",
+    "behavior": "behavior_mode",
+    "advise-steps": "advise_steps",
+    "utility-mode": "utility_mode",
 }
-
-
-def _float_in(lo, hi, lo_open=False, hi_open=False):
-    def parse(text):
-        try:
-            x = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-        below = x <= lo if lo_open else x < lo
-        above = x >= hi if hi_open else x > hi
-        if below or above or not np.isfinite(x):
-            lb = "(" if lo_open else "["
-            rb = ")" if hi_open else "]"
-            raise argparse.ArgumentTypeError(
-                f"{x} outside the range {lb}{lo}, {hi}{rb}"
-            )
-        return x
-    return parse
-
-
-def _nonneg_float(text):
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not np.isfinite(x) or x < 0:
-        raise argparse.ArgumentTypeError(f"{x} is not a non-negative number")
-    return x
-
-
-def _pos_int(text):
-    try:
-        x = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if x < 1:
-        raise argparse.ArgumentTypeError(f"{x} is not a positive integer")
-    return x
-
-
-def _nonneg_int(text):
-    try:
-        x = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"{x} is not a non-negative integer")
-    return x
 
 
 def _weights_spec(text):
@@ -130,28 +104,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="generate N samples, D features, K informative")
     common.add_argument("--label-col", default="label",
                         help="label column name for --data")
-    common.add_argument("--episodes", type=_pos_int, default=300)
-    common.add_argument("--gamma", type=_float_in(0.0, 1.0), default=0.9)
-    common.add_argument(
-        "--epsilon",
-        type=_float_in(0.0, 1.0, lo_open=True, hi_open=True),
-        default=0.1,
-    )
-    common.add_argument("--stop-threshold", type=_float_in(0.0, 1.0),
-                        default=0.5)
-    common.add_argument("--shaping-coeff", type=_nonneg_float, default=1.0)
-    common.add_argument("--advise-steps", type=_nonneg_int, default=500)
-    common.add_argument("--seed", type=_nonneg_int, default=0)
-    common.add_argument("--return-mode", choices=engine.RETURN_MODES,
-                        default="forward")
-    common.add_argument("--behavior", choices=engine.BEHAVIOR_MODES,
-                        default="greedy")
-    common.add_argument("--state-repr", choices=sorted(_STATE_FLAGS),
-                        default="meta")
-    common.add_argument("--utility", choices=UTILITY_MODES,
-                        default="rvrd")
-    common.add_argument("--weights", type=_weights_spec, metavar="WACC,WRV,WRD",
-                        default=RewardWeights())
+    defaults = engine.TrainConfig()
+    for flag, name in CONFIG_FLAGS.items():
+        default = getattr(defaults, name)
+        if name == "state_mode":
+            spelling = {mode: key for key, mode in _STATE_FLAGS.items()}
+            kind = {"choices": sorted(_STATE_FLAGS),
+                    "default": spelling[default]}
+        elif name in engine.MODES:
+            kind = {"choices": engine.MODES[name], "default": default}
+        elif name == "weights":
+            kind = {"type": _weights_spec, "metavar": "WACC,WRV,WRD",
+                    "default": default}
+        else:
+            kind = {"type": _FIELD_TYPES[name], "default": default}
+        common.add_argument(flag, dest=name, **kind)
     common.add_argument("--out", type=Path, default=Path("mcfs_out"),
                         help="directory for report files")
 
@@ -162,33 +129,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", parents=[common],
                            help="train once and report")
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=functools.partial(cmd_run, parser=run_p))
     sweep_p = sub.add_parser("sweep", parents=[common],
                              help="run once per parameter value")
     sweep_p.add_argument("--param", choices=sorted(SWEEP_PARAMS),
                          required=True)
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated parameter values")
-    sweep_p.set_defaults(func=cmd_sweep)
+    sweep_p.set_defaults(func=functools.partial(cmd_sweep, parser=sweep_p))
     return parser
 
 
 def _config_from_args(args, parser) -> engine.TrainConfig:
+    values = {name: getattr(args, name) for name in CONFIG_FLAGS.values()}
+    values["state_mode"] = _STATE_FLAGS[values["state_mode"]]
     try:
-        return engine.TrainConfig(
-            episodes=args.episodes,
-            gamma=args.gamma,
-            epsilon=args.epsilon,
-            stop_threshold=args.stop_threshold,
-            shaping_coeff=args.shaping_coeff,
-            advise_steps=args.advise_steps,
-            return_mode=args.return_mode,
-            behavior_mode=args.behavior,
-            state_mode=_STATE_FLAGS[args.state_repr],
-            utility_mode=args.utility,
-            weights=args.weights,
-            seed=args.seed,
-        )
+        return engine.TrainConfig(**values)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -217,10 +173,8 @@ def _baseline_entry(split, subset, seed, n_trees=FINAL_TREES) -> dict:
     """Held-out metrics of a final-size forest fitted on one subset."""
     cols = sorted(int(c) for c in subset)
     if cols:
-        model = forest.train_forest(
-            split.train, cols, n_trees=n_trees, seed=seed,
-            max_depth=FINAL_DEPTH, min_leaf=FINAL_MIN_LEAF,
-        )
+        model = forest.train_forest(split.train, cols, n_trees=n_trees,
+                                    seed=seed)
         metrics = forest.evaluate(model, split.test, cols)
     else:
         # no features to train on: score a constant majority-class guess
@@ -327,16 +281,20 @@ def _sweep_workers(parser) -> int:
 def cmd_sweep(args, parser) -> int:
     workers = _sweep_workers(parser)
     base = _config_from_args(args, parser)
-    field_name, cast = SWEEP_PARAMS[args.param]
+    name = SWEEP_PARAMS[args.param]
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         parser.error("--values must list at least one value")
     configs = []
     for raw in raw_values:
         try:
-            configs.append(replace(base, **{field_name: cast(raw)}))
+            config = replace(base, **{name: _FIELD_TYPES[name](raw)})
         except ValueError as exc:
             parser.error(f"bad value {raw!r} for --param {args.param}: {exc}")
+        if config in configs:
+            first = raw_values[configs.index(config)]
+            parser.error(f"--values {first!r} and {raw!r} give the same arm")
+        configs.append(config)
 
     ds, meta = _load_dataset(args)
     arm = functools.partial(_execute_run, ds, meta, references=False)
@@ -386,7 +344,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (data.DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -92,8 +92,6 @@ class Split:
 
     train: Dataset
     test: Dataset
-    ratio: float
-    seed: int
     train_rows: np.ndarray = field(repr=False, default=None)
     test_rows: np.ndarray = field(repr=False, default=None)
 
@@ -208,8 +206,6 @@ def split_dataset(ds: Dataset, ratio: float, seed: int) -> Split:
     return Split(
         train=ds.take(train_idx),
         test=ds.take(test_idx),
-        ratio=ratio,
-        seed=seed,
         train_rows=train_idx,
         test_rows=test_idx,
     )

@@ -102,11 +102,13 @@ class TrainConfig:
         if self.episodes < 1:
             raise ValueError("episodes must be at least 1")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+            raise ValueError("gamma must lie in the range [0, 1]")
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie strictly inside (0, 1)")
+            raise ValueError(
+                "epsilon must lie strictly inside the range (0, 1)"
+            )
         if not 0.0 <= self.stop_threshold <= 1.0:
-            raise ValueError("stop_threshold must lie in [0, 1]")
+            raise ValueError("stop_threshold must lie in the range [0, 1]")
         if not (math.isfinite(self.shaping_coeff) and self.shaping_coeff >= 0):
             raise ValueError("shaping_coeff must be finite and non-negative")
         if self.advise_steps < 0:
@@ -139,11 +141,7 @@ class EpisodeStats:
 
 @dataclass(eq=False)
 class RunReport:
-    """Audited output of one training run.
-
-    ``test_metrics`` and ``baselines`` stay None at the engine level; the
-    command-line harness fills them from the outer evaluation protocol.
-    """
+    """Audited output of one training run."""
 
     config: TrainConfig
     best_subset: tuple
@@ -154,8 +152,6 @@ class RunReport:
     total_steps: int
     decision_counts: tuple
     total_wall_ms: float
-    test_metrics: dict | None = None
-    baselines: dict | None = None
 
 
 def stop_probability(importance: float, stop_threshold: float) -> float:

@@ -12,9 +12,6 @@ from .nn import MLP
 
 N_ACTIONS = 2  # 0 = leave the feature out, 1 = take it
 DEFAULT_HIDDEN = (64, 8)
-DEFAULT_CAPACITY = 200
-DEFAULT_BATCH = 16
-DEFAULT_LR = 0.01
 
 
 class QNetwork:
@@ -65,7 +62,7 @@ def random_policy(rng: np.random.Generator):
     return int(rng.integers(0, N_ACTIONS)), 1.0 / N_ACTIONS
 
 
-def train_step(qnet: QNetwork, batch, lr: float = DEFAULT_LR) -> float:
+def train_step(qnet: QNetwork, batch, lr: float) -> float:
     """One Adam update toward the stored weighted returns.
 
     ``batch`` is a (states, actions, weighted_returns) triple of arrays, one
@@ -103,7 +100,7 @@ class ReplayMemory:
     allocated on the first push, when the state width is known.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -128,7 +125,7 @@ class ReplayMemory:
         self._head = (self._head + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, rng: np.random.Generator, k: int = DEFAULT_BATCH):
+    def sample(self, rng: np.random.Generator, k: int):
         """Uniform draw without replacement; clamps k to the current size.
 
         Returns (states, actions, weighted_returns) arrays.  Draw i is the

@@ -71,8 +71,7 @@ def _subset_seed(seed: int, cols) -> np.random.SeedSequence:
 
 
 def eval_reward(subset, split, weights: RewardWeights, seed: int,
-                n_trees: int = 100, max_depth: int = 12,
-                min_leaf: int = 2) -> float:
+                n_trees: int = 100) -> float:
     """Score a subset: held-out forest accuracy plus information terms.
 
     The forest trains on the split's train fold and scores on its test
@@ -86,11 +85,8 @@ def eval_reward(subset, split, weights: RewardWeights, seed: int,
     acc = 0.0
     if weights.w_acc > 0:
         sub_seed = _subset_seed(seed, cols)
-        model = forest.train_forest(
-            split.train, cols, n_trees=n_trees,
-            seed=sub_seed.generate_state(1)[0],
-            max_depth=max_depth, min_leaf=min_leaf,
-        )
+        model = forest.train_forest(split.train, cols, n_trees=n_trees,
+                                    seed=sub_seed.generate_state(1)[0])
         acc = forest.evaluate(model, split.test, cols).accuracy
     rv = relevance(cols, split.train) if weights.w_rv else 0.0
     rd = redundancy(cols, split.train) if weights.w_rd else 0.0

@@ -17,6 +17,10 @@ def run_args(out, extra=()):
             "--seed", "3", "--out", str(out), *extra]
 
 
+def no_data(args):
+    raise AssertionError("data loaded before the flags were checked")
+
+
 def stripped_report(out_dir):
     payload = json.loads((Path(out_dir) / "report.json").read_text())
     payload.pop("total_wall_ms")
@@ -33,11 +37,27 @@ class TestFlagParsing:
         assert exc.value.code == 2
         assert "range" in capsys.readouterr().err
 
-    def test_bad_epsilon_exits_2(self):
-        for eps in ("0", "1", "2.5"):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["run", "--synthetic", "40,4,2", "--epsilon", eps])
-            assert exc.value.code == 2
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--epsilon", "0", "epsilon"),
+        ("--epsilon", "1", "epsilon"),
+        ("--epsilon", "2.5", "epsilon"),
+        ("--epsilon", "nan", "epsilon"),
+        ("--gamma", "1.5", "gamma"),
+        ("--gamma", "nan", "gamma"),
+        ("--stop-threshold", "-0.1", "stop_threshold"),
+        ("--shaping-coeff", "-1", "shaping_coeff"),
+        ("--shaping-coeff", "inf", "shaping_coeff"),
+        ("--advise-steps", "-1", "advise_steps"),
+        ("--seed", "-1", "seed"),
+        ("--episodes", "0", "episodes"),
+    ])
+    def test_bad_config_value_exits_2(self, flag, value, field, monkeypatch,
+                                      capsys):
+        monkeypatch.setattr(cli, "_load_dataset", no_data)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--synthetic", "40,4,2", flag, value])
+        assert exc.value.code == 2
+        assert f"error: {field} " in capsys.readouterr().err
 
     def test_bad_weights_exit_2(self):
         for spec in ("1,2", "a,b,c", "-1,0.1,0.1", "nan,0.1,0.1",
@@ -58,9 +78,6 @@ class TestFlagParsing:
             assert exc.value.code == 2
 
     def test_non_integer_worker_count_exits_2(self, monkeypatch, capsys):
-        def no_data(args):
-            raise AssertionError("data loaded before MCFS_THREADS was read")
-
         monkeypatch.setattr(cli, "_load_dataset", no_data)
         monkeypatch.setenv("MCFS_THREADS", "abc")
         with pytest.raises(SystemExit) as exc:
@@ -92,6 +109,7 @@ class TestFlagParsing:
         cfg = cli._config_from_args(args, parser)
         assert cfg.return_mode == "forward"
         assert cfg.state_mode == "meta"
+        assert cfg == engine.TrainConfig()
 
 
 class TestRunCommand:
@@ -326,8 +344,15 @@ class TestSweep:
                       "--values", "0.5"])
         assert exc.value.code == 2
 
-    def test_bad_value_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--synthetic", "40,4,2",
-                      "--param", "stop-threshold", "--values", "0.2,2.0"])
-        assert exc.value.code == 2
+    def test_bad_value_exits_2(self, monkeypatch):
+        # a value the field rejects, or one that repeats an arm (0.5 and
+        # 0.50 give the same config), stops the sweep before any data loads
+        monkeypatch.setattr(cli, "_load_dataset", no_data)
+        for param, values in (("stop-threshold", "0.2,2.0"),
+                              ("advise-steps", "1.5"),
+                              ("stop-threshold", "0.5,0.5"),
+                              ("stop-threshold", "0.2,0.5,0.50")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweep", "--synthetic", "40,4,2",
+                          "--param", param, "--values", values])
+            assert exc.value.code == 2

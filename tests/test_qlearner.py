@@ -143,12 +143,15 @@ class TestTrainStep:
     def test_rejects_bad_targets_and_actions(self):
         net = make_net(2)
         with pytest.raises(ValueError):
-            qlearner.train_step(net, as_batch([(np.zeros(2), 0, np.nan)]))
+            qlearner.train_step(net, as_batch([(np.zeros(2), 0, np.nan)]),
+                                lr=0.01)
         with pytest.raises(ValueError):
-            qlearner.train_step(net, as_batch([(np.zeros(2), 3, 1.0)]))
+            qlearner.train_step(net, as_batch([(np.zeros(2), 3, 1.0)]),
+                                lr=0.01)
         with pytest.raises(ValueError):
             qlearner.train_step(
-                net, (np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0))
+                net, (np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0)),
+                lr=0.01,
             )
 
     def test_returns_pre_update_loss(self):
