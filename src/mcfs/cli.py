@@ -233,11 +233,7 @@ def _execute_run(ds, meta, config, references=True):
         baselines = {
             "selected": _baseline_entry(outer, run.best_subset, config.seed)
         }
-    return reports.report_to_dict(
-        run, ds.feature_names, dataset=meta,
-        test_metrics=baselines["selected"]["metrics"],
-        baselines=baselines,
-    )
+    return reports.report_to_dict(run, ds.feature_names, meta, baselines)
 
 
 def _sweep_references(ds, seed):

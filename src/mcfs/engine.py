@@ -30,12 +30,11 @@ from .rewards import utility as _utility
 
 RETURN_MODES = ("forward", "reversed")
 BEHAVIOR_MODES = ("greedy", "random")
-STATE_MODES = ("meta", "autoencoder")
 # the allowed values of each TrainConfig mode field
 MODES = {
     "return_mode": RETURN_MODES,
     "behavior_mode": BEHAVIOR_MODES,
-    "state_mode": STATE_MODES,
+    "state_mode": state_repr.STATE_MODES,
     "utility_mode": UTILITY_MODES,
 }
 
@@ -54,9 +53,6 @@ class EpisodeStep:
     target_prob: float
     behavior_prob: float
     importance: float
-    # filled in by scoring, after the walk
-    raw_reward: float | None = None
-    reward: float | None = None
 
 
 @dataclass(eq=False)
@@ -64,7 +60,6 @@ class Episode:
     steps: list
     stopped_early: bool
     final_subset: frozenset
-    final_eval: float | None = None  # the last step's raw reward, once scored
 
 
 @dataclass(frozen=True)
@@ -74,9 +69,9 @@ class TrainConfig:
     The four mode fields pick alternate forms (allowed values in ``MODES``):
     ``return_mode='reversed'`` accumulates past rewards instead of future
     ones, ``behavior_mode='random'`` explores with a fair coin instead of
-    epsilon-greedy, ``state_mode='autoencoder'`` describes a subset by a
-    bottleneck code instead of descriptive statistics, and ``utility_mode``
-    picks the advice potential.  Each default is the standard form.
+    epsilon-greedy, ``state_mode`` picks how a subset is described (see
+    ``state.make_represent``), and ``utility_mode`` picks the advice
+    potential.  Each default is the standard form.
     """
 
     episodes: int = 300
@@ -205,16 +200,16 @@ def recalc_weights(episode: Episode, stop_threshold: float, *,
                      out=np.zeros(imp.shape), where=imp > 0)
 
 
-def compute_returns(episode: Episode, gamma: float,
+def compute_returns(rewards, gamma: float,
                     mode: str = "forward") -> np.ndarray:
-    """Per-step returns from the episode's rewards.
+    """Per-step returns from an episode's per-step rewards.
 
     forward: discounted sum of this and later rewards.  reversed:
     discounted sum of rewards up to and including this step.
     """
     if mode not in RETURN_MODES:
         raise ValueError(f"mode must be one of {RETURN_MODES}")
-    r = np.array([s.reward for s in episode.steps])
+    r = np.asarray(rewards, dtype=np.float64)
     out = np.empty_like(r)
     if mode == "forward":
         acc = 0.0
@@ -248,8 +243,8 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
     non-final step and ends the episode when true.  The net does not change
     during a walk and the state changes only with the subset, so the state,
     its Q values and the target policy are computed once at the start and
-    again only after a select.  Rewards are left unset: scoring happens
-    after the walk.
+    again only after a select.  The walk records no rewards: scoring
+    happens after it.
     """
     subset = frozenset()
     s = represent(subset)
@@ -282,20 +277,7 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
     return Episode(steps=steps, stopped_early=stopped, final_subset=subset)
 
 
-def make_represent(ds, mode: str, autoencoder=None) -> Callable:
-    """State function for a dataset: descriptive stats or bottleneck codes."""
-    if mode == "meta":
-        return lambda subset: state_repr.meta_stats(ds, subset)
-    if mode == "autoencoder":
-        if autoencoder is None:
-            raise ValueError("autoencoder state mode needs a trained model")
-        return lambda subset: state_repr.autoencode_state(
-            autoencoder, ds, subset
-        )
-    raise ValueError(f"state mode must be one of {STATE_MODES}")
-
-
-def final_selection(qnet, ds, config: TrainConfig, autoencoder=None):
+def final_selection(qnet, represent: Callable, n_features: int):
     """Greedy pass over all features in index order with the trained net.
 
     No stopping, no exploration: each step takes argmax Q, value ties
@@ -303,8 +285,7 @@ def final_selection(qnet, ds, config: TrainConfig, autoencoder=None):
     returns the empty subset.
     """
     episode = traverse_episode(
-        qnet, range(ds.n_features),
-        make_represent(ds, config.state_mode, autoencoder),
+        qnet, range(n_features), represent,
         choose=lambda q: (int(np.argmax(q)), 1.0),
         stop=lambda importance: False,
     )
@@ -321,16 +302,12 @@ class _Trainer:
         net_ss, behavior_ss, replay_ss, ae_ss = (
             np.random.SeedSequence(config.seed).spawn(4)
         )
-        self.autoencoder = None
-        if config.state_mode == "autoencoder":
-            self.autoencoder, _ = state_repr.train_autoencoder(
-                split.train, seed=int(ae_ss.generate_state(1)[0])
-            )
-        self.represent = make_represent(
-            split.train, config.state_mode, self.autoencoder
+        self.represent = state_repr.make_represent(
+            split.train, config.state_mode,
+            seed=int(ae_ss.generate_state(1)[0]),
         )
         state_dim = self.represent(frozenset()).size
-        self.qnet = qlearner.QNetwork(state_dim, seed=net_ss)
+        self.qnet = qlearner.q_network(state_dim, seed=net_ss)
         self.behavior_rng = np.random.default_rng(behavior_ss)
         self.replay_rng = np.random.default_rng(replay_ss)
         self.memory = qlearner.ReplayMemory(config.memory_capacity)
@@ -359,29 +336,29 @@ class _Trainer:
             self._utility_cache[subset] = hit
         return hit
 
-    def score(self, episode: Episode, start_step: int) -> None:
-        """Fill in each step's raw and advised reward and the final eval.
+    def score(self, episode: Episode, start_step: int):
+        """The episode's final eval and each step's advised reward.
 
         ``start_step`` is the number of environment steps taken before the
         episode; a step is advised while its global step stays within
-        advise_steps.
+        advise_steps, and otherwise gets its raw reward.  The final eval is
+        the last step's raw reward, the reward of the final subset.
         """
         cfg = self.config
+        advised = np.empty(len(episode.steps))
         subset = frozenset()
-        for g, step in enumerate(episode.steps, start_step + 1):
+        for i, step in enumerate(episode.steps):
             new_subset = (subset | {step.feature} if step.action == 1
                           else subset)
             raw = self.reward(new_subset)
-            step.raw_reward = raw
-            step.reward = raw
-            if g <= cfg.advise_steps:
-                step.reward = shaped_reward(
+            advised[i] = raw
+            if start_step + i + 1 <= cfg.advise_steps:
+                advised[i] = shaped_reward(
                     raw, self.utility(subset), self.utility(new_subset),
                     cfg.gamma, cfg.shaping_coeff,
                 )
             subset = new_subset
-        # the final subset is the last step's new subset
-        episode.final_eval = episode.steps[-1].raw_reward
+        return raw, advised
 
 
 def train(split, config: TrainConfig) -> RunReport:
@@ -408,7 +385,7 @@ def train(split, config: TrainConfig) -> RunReport:
         episode = traverse_episode(
             tr.qnet, rerank_features(tr.counts), tr.represent, choose, stop
         )
-        tr.score(episode, tr.global_step)
+        final_eval, advised = tr.score(episode, tr.global_step)
         # a feature is visited at most once per episode
         tr.counts[[s.feature for s in episode.steps]] += 1
         tr.global_step += len(episode.steps)
@@ -420,7 +397,7 @@ def train(split, config: TrainConfig) -> RunReport:
             survival_mean=(float(np.mean(tr.survival_window))
                            if tr.survival_window else None),
         )
-        returns = compute_returns(episode, config.gamma, config.return_mode)
+        returns = compute_returns(advised, config.gamma, config.return_mode)
         for s, w, g in zip(episode.steps, weights, returns):
             tr.memory.push(s.state, s.action, w * g)
             tr.survival_window.append(
@@ -434,20 +411,18 @@ def train(split, config: TrainConfig) -> RunReport:
                 qlearner.train_step(tr.qnet, batch, config.learning_rate)
             )
 
-        if episode.final_eval > best_eval:
-            best_eval = episode.final_eval
+        if final_eval > best_eval:
+            best_eval = final_eval
             best_subset = episode.final_subset
         curves.append(EpisodeStats(
             episode=ep,
-            eval=float(episode.final_eval),
+            eval=float(final_eval),
             length=len(episode.steps),
             loss=float(np.mean(losses)),
             wall_ms=(time.perf_counter() - ep_start) * 1000.0,
         ))
 
-    greedy = final_selection(
-        tr.qnet, split.train, config, autoencoder=tr.autoencoder
-    )
+    greedy = final_selection(tr.qnet, tr.represent, split.train.n_features)
     return RunReport(
         config=config,
         best_subset=tuple(sorted(best_subset)),

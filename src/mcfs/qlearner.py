@@ -1,7 +1,9 @@
 """Action-value network, derived policies, and replay memory.
 
-The replay memory is a ring of preallocated arrays, so a sample is one
-fancy index per array and comes out in the batch form ``train_step`` takes.
+The Q-net is a plain ``nn.MLP`` mapping a state to the values of the two
+actions.  The replay memory is a ring of preallocated arrays, so a sample is
+one fancy index per array and comes out in the batch form ``train_step``
+takes.
 """
 
 from __future__ import annotations
@@ -11,26 +13,22 @@ import numpy as np
 from .nn import MLP
 
 N_ACTIONS = 2  # 0 = leave the feature out, 1 = take it
-DEFAULT_HIDDEN = (64, 8)
+HIDDEN = (64, 8)
 
 
-class QNetwork:
+def q_network(state_dim: int, seed: int = 0) -> MLP:
     """Two-output value net: Q(state, deselect) and Q(state, select)."""
-
-    def __init__(self, state_dim: int, hidden=DEFAULT_HIDDEN, seed: int = 0):
-        if state_dim < 1:
-            raise ValueError("state_dim must be positive")
-        self.state_dim = state_dim
-        self.net = MLP([state_dim, *hidden, N_ACTIONS], seed=seed)
+    if state_dim < 1:
+        raise ValueError("state_dim must be positive")
+    return MLP([state_dim, *HIDDEN, N_ACTIONS], seed=seed)
 
 
-def q_values(qnet: QNetwork, state: np.ndarray) -> np.ndarray:
+def q_values(qnet: MLP, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=np.float64)
-    if state.shape != (qnet.state_dim,):
-        raise ValueError(
-            f"state has shape {state.shape}, expected ({qnet.state_dim},)"
-        )
-    out, _ = qnet.net.forward(state[None, :])
+    width = qnet.sizes[0]
+    if state.shape != (width,):
+        raise ValueError(f"state has shape {state.shape}, expected ({width},)")
+    out, _ = qnet.forward(state[None, :])
     return out[0]
 
 
@@ -62,7 +60,7 @@ def random_policy(rng: np.random.Generator):
     return int(rng.integers(0, N_ACTIONS)), 1.0 / N_ACTIONS
 
 
-def train_step(qnet: QNetwork, batch, lr: float) -> float:
+def train_step(qnet: MLP, batch, lr: float) -> float:
     """One Adam update toward the stored weighted returns.
 
     ``batch`` is a (states, actions, weighted_returns) triple of arrays, one
@@ -81,14 +79,14 @@ def train_step(qnet: QNetwork, batch, lr: float) -> float:
     if not np.all((actions >= 0) & (actions < N_ACTIONS)):
         raise ValueError("actions must be 0 or 1")
 
-    out, cache = qnet.net.forward(states)
+    out, cache = qnet.forward(states)
     rows = np.arange(len(targets))
     err = out[rows, actions] - targets
     loss = float(np.mean(np.square(err)))
     dout = np.zeros_like(out)
     dout[rows, actions] = 2.0 * err / len(targets)
-    grads = qnet.net.backward(cache, dout)
-    qnet.net.adam_step(grads, lr)
+    grads = qnet.backward(cache, dout)
+    qnet.adam_step(grads, lr)
     return loss
 
 

@@ -158,17 +158,19 @@ def subset_payload(indices, feature_names) -> dict:
     return {"indices": idx, "names": [feature_names[i] for i in idx]}
 
 
-def report_to_dict(run, feature_names, dataset=None, test_metrics=None,
-                   baselines=None) -> dict:
-    """Flatten an engine report plus harness additions into schema form."""
+def report_to_dict(run, feature_names, dataset, baselines) -> dict:
+    """Flatten an engine report plus harness additions into schema form.
+
+    The test metrics are those of the ``selected`` baseline entry.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(run.config),
-        **({"dataset": dataset} if dataset is not None else {}),
+        "dataset": dataset,
         "best_subset": subset_payload(run.best_subset, feature_names),
         "greedy_subset": subset_payload(run.greedy_subset, feature_names),
         "best_eval": run.best_eval,
-        "test_metrics": test_metrics,
+        "test_metrics": baselines["selected"]["metrics"],
         "baselines": baselines,
         "curves": [asdict(c) for c in run.curves],
         "episodes_completed": run.episodes_completed,

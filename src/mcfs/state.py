@@ -1,15 +1,22 @@
 """Fixed-length state descriptions of a selected feature subset.
 
-A dataset's column statistics and column means are computed once and kept
-on the dataset itself (``Dataset.derived``).
+``make_represent`` turns a dataset and a state mode into the function the
+walk calls on each subset: ``"meta"`` describes the subset by descriptive
+statistics, and ``"autoencoder"`` trains an autoencoder on the dataset and
+describes the subset by its bottleneck code.  A dataset's column statistics
+and column means are computed once and kept on the dataset itself
+(``Dataset.derived``).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from .nn import MLP, mse_loss_grad
 
+STATE_MODES = ("meta", "autoencoder")
 META_STATS_LEN = 49
 LATENT_DIM = 32
 AE_HIDDEN = 128
@@ -81,33 +88,14 @@ def subset_mean_vector(ds, subset) -> np.ndarray:
     return v
 
 
-class Autoencoder:
-    """Symmetric reconstruction net whose bottleneck serves as the state.
-
-    Both halves are two ReLU layers (128 wide, 32-dim code); the output
-    layer is linear.  ``encode`` reads the post-activation bottleneck.
-    """
-
-    def __init__(self, n_features: int, seed: int = 0):
-        self.n_features = n_features
-        self.net = MLP(
-            [n_features, AE_HIDDEN, LATENT_DIM, AE_HIDDEN, n_features],
-            seed=seed,
-        )
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        _, (pre, acts) = self.net.forward(x)
-        latent = acts[2]  # activation after the bottleneck layer
-        return latent[0] if latent.shape[0] == 1 else latent
-
-
 def train_autoencoder(ds, seed: int = 0, n_subsets: int = 256,
                       epochs: int = 120, batch: int = 32,
                       lr: float = 0.01):
-    """Fit the autoencoder on mean vectors of random subsets of ``ds``.
+    """Fit an autoencoder on mean vectors of random subsets of ``ds``.
 
-    Returns the model and the per-epoch mean loss curve.
+    The net is symmetric: two ReLU layers on each side (128 wide, 32-dim
+    code) and a linear output layer.  Returns the net and the per-epoch mean
+    loss curve.
     """
     root = np.random.SeedSequence(seed)
     init_ss, data_ss, shuffle_ss = root.spawn(3)
@@ -121,7 +109,7 @@ def train_autoencoder(ds, seed: int = 0, n_subsets: int = 256,
     masks[~masks.any(axis=1), rng.integers(0, d)] = True
     inputs = masks * means[None, :]
 
-    ae = Autoencoder(d, seed=init_ss)
+    ae = MLP([d, AE_HIDDEN, LATENT_DIM, AE_HIDDEN, d], seed=init_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     losses = []
     for _ in range(epochs):
@@ -129,17 +117,31 @@ def train_autoencoder(ds, seed: int = 0, n_subsets: int = 256,
         epoch_losses = []
         for start in range(0, n_subsets, batch):
             xb = inputs[order[start:start + batch]]
-            out, cache = ae.net.forward(xb)
+            out, cache = ae.forward(xb)
             loss, dout = mse_loss_grad(out, xb)
-            grads = ae.net.backward(cache, dout)
-            ae.net.adam_step(grads, lr)
+            grads = ae.backward(cache, dout)
+            ae.adam_step(grads, lr)
             epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
     return ae, losses
 
 
-def autoencode_state(ae: Autoencoder, ds, subset) -> np.ndarray:
+def autoencode_state(ae: MLP, ds, subset) -> np.ndarray:
     """Bottleneck code of the subset's padded mean vector."""
-    if ds.n_features != ae.n_features:
+    if ds.n_features != ae.sizes[0]:
         raise ValueError("autoencoder width does not match the dataset")
-    return ae.encode(subset_mean_vector(ds, subset))
+    _, (_, acts) = ae.forward(subset_mean_vector(ds, subset))
+    return acts[2][0]  # the activation after the bottleneck layer
+
+
+def make_represent(ds, mode: str, seed: int = 0) -> Callable:
+    """State function for ``ds``: descriptive statistics or bottleneck codes.
+
+    ``"autoencoder"`` trains its autoencoder here, seeded by ``seed``.
+    """
+    if mode == "meta":
+        return lambda subset: meta_stats(ds, subset)
+    if mode == "autoencoder":
+        ae, _ = train_autoencoder(ds, seed=seed)
+        return lambda subset: autoencode_state(ae, ds, subset)
+    raise ValueError(f"state mode must be one of {STATE_MODES}")

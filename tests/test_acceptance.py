@@ -31,15 +31,14 @@ def batch_episode(importances):
     """One-step-per-sample scaffold for weight recalculation checks."""
     steps = [
         engine.EpisodeStep(
-            feature=0, state=np.zeros(1), action=1, reward=0.0,
-            raw_reward=0.0, target_prob=0.5, behavior_prob=0.5,
-            importance=float(w),
+            feature=0, state=np.zeros(1), action=1, target_prob=0.5,
+            behavior_prob=0.5, importance=float(w),
         )
         for w in importances
     ]
     return engine.Episode(
         steps=steps, stopped_early=False,
-        final_subset=frozenset(), final_eval=0.0,
+        final_subset=frozenset(),
     )
 
 
@@ -345,7 +344,7 @@ class TestC9EngineInvariants:
 
         # policy distributions are normalized; behavior splits epsilon
         rng = np.random.default_rng(909)
-        net = qlearner.QNetwork(6, seed=9)
+        net = qlearner.q_network(6, seed=9)
         norm_ok = True
         split_ok = True
         for _ in range(100):

@@ -6,32 +6,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcfs import data, engine, qlearner, rewards
+from mcfs import data, engine, qlearner, rewards, state
 from support import get_flat, set_flat
 
 
-def make_episode(rewards_seq=None, importances=None):
+def make_episode(importances):
     """Episode scaffold carrying only the fields a given op reads."""
-    n = len(rewards_seq or importances)
-    rewards_seq = rewards_seq or [0.0] * n
-    importances = importances or [1.0] * n
     steps = [
         engine.EpisodeStep(
-            feature=t, state=np.zeros(1), action=1,
-            reward=float(r), raw_reward=float(r), target_prob=0.5,
+            feature=t, state=np.zeros(1), action=1, target_prob=0.5,
             behavior_prob=0.5, importance=float(w),
         )
-        for t, (r, w) in enumerate(zip(rewards_seq, importances))
+        for t, w in enumerate(importances)
     ]
     return engine.Episode(
         steps=steps, stopped_early=False,
-        final_subset=frozenset(range(n)), final_eval=0.0,
+        final_subset=frozenset(range(len(steps))),
     )
 
 
 def zeroed_qnet(state_dim):
-    net = qlearner.QNetwork(state_dim, seed=0)
-    set_flat(net.net, np.zeros_like(get_flat(net.net)))
+    net = qlearner.q_network(state_dim, seed=0)
+    set_flat(net, np.zeros_like(get_flat(net)))
     return net
 
 
@@ -110,28 +106,24 @@ class TestIncrementalWeight:
 
 class TestComputeReturns:
     def test_forward_frozen_example(self):
-        ep = make_episode(rewards_seq=[1.0, 2.0, 4.0])
         assert_allclose(
-            engine.compute_returns(ep, 0.5, "forward"), [3.0, 4.0, 4.0],
-            rtol=1e-12,
+            engine.compute_returns([1.0, 2.0, 4.0], 0.5, "forward"),
+            [3.0, 4.0, 4.0], rtol=1e-12,
         )
 
     def test_backward_looking_frozen_example(self):
-        ep = make_episode(rewards_seq=[1.0, 2.0, 4.0])
-        got = engine.compute_returns(ep, 0.5, "reversed")
+        got = engine.compute_returns([1.0, 2.0, 4.0], 0.5, "reversed")
         assert_allclose(got, [1.0, 2.5, 5.25], rtol=1e-12)
 
     def test_zero_gamma_forward_is_immediate_reward(self):
-        ep = make_episode(rewards_seq=[0.3, -1.0, 2.0, 0.5])
         assert_allclose(
-            engine.compute_returns(ep, 0.0, "forward"),
+            engine.compute_returns([0.3, -1.0, 2.0, 0.5], 0.0, "forward"),
             [0.3, -1.0, 2.0, 0.5],
         )
 
     def test_rejects_unknown_mode(self):
-        ep = make_episode(rewards_seq=[1.0])
         with pytest.raises(ValueError):
-            engine.compute_returns(ep, 0.9, "sideways")
+            engine.compute_returns([1.0], 0.9, "sideways")
 
 
 class TestRecalcWeights:
@@ -172,7 +164,7 @@ class TestRerankFeatures:
 
 def toy_traverse(config, n=6, qnet=None, seed=0, represent=None):
     """One training-style walk over n features with a one-hot state."""
-    qnet = qnet or qlearner.QNetwork(n, seed=1)
+    qnet = qnet or qlearner.q_network(n, seed=1)
     represent = represent or (
         lambda sub: np.isin(np.arange(n), sorted(sub)).astype(float)
     )
@@ -218,33 +210,11 @@ class TestTraverseEpisode:
             assert abs(s.importance - expected) <= 1e-12 * abs(expected)
             prev = s.importance
 
-    def test_walk_leaves_rewards_unset(self):
-        ep = toy_traverse(engine.TrainConfig(stop_threshold=0.0), n=5)
-        assert ep.final_eval is None
-        assert all(s.raw_reward is None and s.reward is None
-                   for s in ep.steps)
-
     def test_subset_tracks_select_actions(self):
-        # the walk's subset follows the selects, and scoring rewards the
-        # subset after each step
         tr = engine._Trainer(small_split(), quick_config())
-        rng = np.random.default_rng(11)
-        ep = engine.traverse_episode(
-            tr.qnet, range(6), tr.represent,
-            lambda q: qlearner.random_policy(rng), lambda w: False,
-        )
-        tr.score(ep, 0)
+        ep = random_walk(tr, seed=11)
         taken = {s.feature for s in ep.steps if s.action == 1}
         assert ep.final_subset == frozenset(taken)
-        sub = frozenset()
-        for s in ep.steps:
-            if s.action == 1:
-                sub = sub | {s.feature}
-            assert s.raw_reward == tr.reward(sub)
-        assert ep.final_eval == rewards.eval_reward(
-            ep.final_subset, tr.split, tr.config.weights, tr.config.seed,
-            n_trees=tr.config.eval_trees,
-        )
 
     def test_early_stop_shortens_episode(self):
         cfg = engine.TrainConfig(stop_threshold=1.0, epsilon=0.4)
@@ -259,7 +229,7 @@ class TestTraverseEpisode:
         asked = []
         rng = np.random.default_rng(0)
         ep = engine.traverse_episode(
-            qlearner.QNetwork(4, seed=1), range(4),
+            qlearner.q_network(4, seed=1), range(4),
             lambda sub: np.zeros(4),
             lambda q: qlearner.random_policy(rng),
             lambda w: asked.append(w) or False,
@@ -276,7 +246,7 @@ class TestTraverseEpisode:
 
         monkeypatch.setattr(qlearner, "q_values", counting)
         cfg = engine.TrainConfig(epsilon=0.3, stop_threshold=0.2)
-        qnet = qlearner.QNetwork(8, seed=1)
+        qnet = qlearner.q_network(8, seed=1)
         for seed in range(6):
             calls.clear()
             ep = toy_traverse(cfg, n=8, qnet=qnet, seed=seed)
@@ -329,6 +299,15 @@ def quick_config(**kw):
     return engine.TrainConfig(**base)
 
 
+def random_walk(tr, seed):
+    """A never-stopping walk over every feature with fair-coin decisions."""
+    rng = np.random.default_rng(seed)
+    return engine.traverse_episode(
+        tr.qnet, range(tr.split.train.n_features), tr.represent,
+        lambda q: qlearner.random_policy(rng), lambda w: False,
+    )
+
+
 def one_step_episode(feature=0, action=1):
     step = engine.EpisodeStep(
         feature=feature, state=np.zeros(1), action=action, target_prob=0.5,
@@ -352,12 +331,9 @@ class TestScore:
         looked_up = []
         tr.reward = lambda sub: 1.0
         tr.utility = lambda sub: looked_up.append(sub) or 3.0 * len(sub)
-        ep = one_step_episode()
-        tr.score(ep, start_step)
-        step = ep.steps[0]
-        assert step.raw_reward == 1.0
-        assert ep.final_eval == 1.0
-        assert_allclose(step.reward, expected, rtol=1e-12)
+        final_eval, advised = tr.score(one_step_episode(), start_step)
+        assert final_eval == 1.0
+        assert_allclose(advised, [expected], rtol=1e-12)
         # no utility lookup outside the window
         assert bool(looked_up) == (start_step + 1 <= advise_steps)
 
@@ -372,15 +348,27 @@ class TestScore:
         shaped.utility = plain.utility = lambda sub: float(len(sub)) + 1.0
         ep = toy_traverse(engine.TrainConfig(stop_threshold=0.0), n=6,
                           seed=2)
-        shaped.score(ep, 0)
-        shaped_steps = [(s.raw_reward, s.reward) for s in ep.steps]
-        plain.score(ep, 0)
-        assert any(r != raw for raw, r in shaped_steps)
-        assert all(s.reward == s.raw_reward for s in ep.steps)
+        shaped_eval, shaped_r = shaped.score(ep, 0)
+        plain_eval, plain_r = plain.score(ep, 0)
+        assert np.any(shaped_r != plain_r)
         # the same subsets, so the underlying rewards agree
-        assert [raw for raw, _ in shaped_steps] == [
-            s.raw_reward for s in ep.steps
-        ]
+        assert shaped_eval == plain_eval
+
+    def test_unadvised_rewards_are_the_subsets_rewards(self):
+        # the walk's subset after each step is what scoring rewards, and
+        # the final eval is the final subset's reward
+        tr = engine._Trainer(small_split(), quick_config(advise_steps=0))
+        ep = random_walk(tr, seed=11)
+        final_eval, advised = tr.score(ep, 0)
+        sub = frozenset()
+        for s, r in zip(ep.steps, advised):
+            if s.action == 1:
+                sub = sub | {s.feature}
+            assert r == tr.reward(sub)
+        assert final_eval == rewards.eval_reward(
+            ep.final_subset, tr.split, tr.config.weights, tr.config.seed,
+            n_trees=tr.config.eval_trees,
+        )
 
 
 class TestTrainLoop:
@@ -434,6 +422,19 @@ class TestTrainLoop:
         assert rep.episodes_completed < 200
         # the budget check runs between episodes, so one may overshoot
         assert rep.total_steps <= 30 + 6
+
+    def test_one_autoencoder_per_run(self, monkeypatch):
+        calls = []
+        train_autoencoder = state.train_autoencoder
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_autoencoder(*args, **kwargs)
+
+        monkeypatch.setattr(state, "train_autoencoder", counting)
+        engine.train(small_split(),
+                     quick_config(episodes=3, state_mode="autoencoder"))
+        assert len(calls) == 1
 
     def test_reranking_moves_skipped_features_forward(self):
         sp = small_split()
@@ -489,25 +490,24 @@ class TestGoldenRuns:
         assert rep.decision_counts == counts
 
 
+def meta_represent():
+    return state.make_represent(small_split().train, "meta")
+
+
 class TestFinalSelection:
     def test_zero_network_selects_nothing(self):
-        sp = small_split()
-        cfg = quick_config()
-        subset = engine.final_selection(zeroed_qnet(49), sp.train, cfg)
+        subset = engine.final_selection(zeroed_qnet(49), meta_represent(), 6)
         assert subset == frozenset()
 
     def test_biased_network_selects_everything(self):
-        sp = small_split()
-        cfg = quick_config()
         net = zeroed_qnet(49)
-        net.net.biases[-1][1] = 5.0  # constant preference for taking
-        subset = engine.final_selection(net, sp.train, cfg)
+        net.biases[-1][1] = 5.0  # constant preference for taking
+        subset = engine.final_selection(net, meta_represent(), 6)
         assert subset == frozenset(range(6))
 
     def test_idempotent(self):
-        sp = small_split()
-        cfg = quick_config()
-        net = qlearner.QNetwork(49, seed=17)
-        a = engine.final_selection(net, sp.train, cfg)
-        b = engine.final_selection(net, sp.train, cfg)
+        represent = meta_represent()
+        net = qlearner.q_network(49, seed=17)
+        a = engine.final_selection(net, represent, 6)
+        b = engine.final_selection(net, represent, 6)
         assert a == b

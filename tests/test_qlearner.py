@@ -9,7 +9,7 @@ from support import DequeReplay, get_flat, set_flat
 
 
 def make_net(state_dim=6, seed=0):
-    return qlearner.QNetwork(state_dim, seed=seed)
+    return qlearner.q_network(state_dim, seed=seed)
 
 
 def as_batch(rows):
@@ -20,7 +20,7 @@ def as_batch(rows):
 
 def zeroed_net(state_dim=6):
     net = make_net(state_dim)
-    set_flat(net.net, np.zeros_like(get_flat(net.net)))
+    set_flat(net, np.zeros_like(get_flat(net)))
     return net
 
 
@@ -67,7 +67,7 @@ class TestTargetPolicy:
 
     def test_safe_under_large_magnitudes(self):
         net = make_net(2, seed=2)
-        set_flat(net.net, get_flat(net.net) * 500.0)
+        set_flat(net, get_flat(net) * 500.0)
         q = qlearner.q_values(net, np.array([30.0, -40.0]))
         probs = qlearner.target_policy(q)
         assert np.isfinite(probs).all()

@@ -1,5 +1,7 @@
 """State vectors: descriptive statistics and the autoencoder bottleneck."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -129,3 +131,22 @@ class TestAutoencoder:
         z_a = state.autoencode_state(ae, ds, {0, 1})
         z_b = state.autoencode_state(ae, ds, {6, 7})
         assert not np.allclose(z_a, z_b)
+
+
+class TestMakeRepresent:
+    def test_meta_is_meta_stats(self):
+        ds = toy_dataset()
+        represent = state.make_represent(ds, "meta")
+        assert_allclose(represent({1, 4}), state.meta_stats(ds, {1, 4}))
+
+    def test_autoencoder_is_the_seeded_bottleneck(self):
+        ds = toy_dataset(d=8, seed=6)
+        represent = state.make_represent(ds, "autoencoder", seed=5)
+        ae, _ = state.train_autoencoder(ds, seed=5)
+        assert_allclose(represent({0, 3}),
+                        state.autoencode_state(ae, ds, {0, 3}), rtol=0)
+
+    def test_unknown_mode_names_the_modes(self):
+        modes = re.escape(str(state.STATE_MODES))
+        with pytest.raises(ValueError, match=modes):
+            state.make_represent(toy_dataset(), "bogus")
