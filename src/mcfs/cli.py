@@ -175,7 +175,7 @@ def _baseline_entry(split, subset, seed, n_trees=FINAL_TREES) -> dict:
     if cols:
         model = forest.train_forest(split.train, cols, n_trees=n_trees,
                                     seed=seed)
-        metrics = forest.evaluate(model, split.test, cols)
+        metrics = forest.evaluate(model, split.test)
     else:
         # no features to train on: score a constant majority-class guess
         majority = int(np.bincount(split.train.labels).argmax())

@@ -2,12 +2,16 @@
 
 One episode first walks the features in a history-derived order, the
 behavior policy picking select/deselect per feature.  Importance weights
-against the softmax target policy grow incrementally; degenerate episodes
-are cut short at random with probability rising as the weight falls.  The
-walk needs no reward, so the episode is scored after it: each step gets its
-subset's reward, advised by an information-theoretic potential for the first
-advise_steps environment steps.  Weighted returns then train the value net
-from replay.  The final greedy selection is the same walk with an argmax,
+against the softmax target policy grow incrementally.  Early stopping cuts
+degenerate episodes short: a step survives with probability
+min(1, importance / stop_threshold) and the walk stops with the
+complement.  The walk needs no reward, so the episode is scored after it:
+each step gets its subset's reward, advised by an information-theoretic
+potential for the first advise_steps environment steps.  Each step's
+survival is then computed once, over the episode's importance array, and
+it both reweights the steps (rejection control) and feeds the replay
+memory's mean survival.  Weighted returns train the value net from
+replay.  The final greedy selection is the same walk with an argmax,
 never-stopping policy.
 """
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import qlearner
 from . import state as state_repr
-from .rewards import RewardWeights, UTILITY_MODES
+from .rewards import MAX_COEFF, RewardWeights, UTILITY_MODES
 from .rewards import eval_reward as _eval_reward
 from .rewards import shaped_reward
 from .rewards import utility as _utility
@@ -50,8 +54,6 @@ class EpisodeStep:
     feature: int
     state: np.ndarray
     action: int
-    target_prob: float
-    behavior_prob: float
     importance: float
 
 
@@ -104,8 +106,10 @@ class TrainConfig:
             )
         if not 0.0 <= self.stop_threshold <= 1.0:
             raise ValueError("stop_threshold must lie in the range [0, 1]")
-        if not (math.isfinite(self.shaping_coeff) and self.shaping_coeff >= 0):
-            raise ValueError("shaping_coeff must be finite and non-negative")
+        if not 0 <= self.shaping_coeff <= MAX_COEFF:
+            raise ValueError(
+                f"shaping_coeff must lie in the range [0, {MAX_COEFF:g}]"
+            )
         if self.advise_steps < 0:
             raise ValueError("advise_steps must be non-negative")
         if self.max_global_steps < 1:
@@ -149,20 +153,19 @@ class RunReport:
     total_wall_ms: float
 
 
-def stop_probability(importance: float, stop_threshold: float) -> float:
-    """Chance of cutting the episode: high when the weight has collapsed."""
-    if importance < 0 or stop_threshold < 0:
+def survival_probability(importance, stop_threshold: float):
+    """Chance that a step survives early stopping.
+
+    That is min(1, importance / stop_threshold), and the walk stops with the
+    complement.  A zero threshold disables stopping: every step survives.
+    ``importance`` may be a scalar or an array.
+    """
+    imp = np.asarray(importance, dtype=np.float64)
+    if stop_threshold < 0 or (imp < 0).any():
         raise ValueError("importance and stop_threshold must be non-negative")
     if stop_threshold == 0:
-        return 0.0
-    return max(0.0, 1.0 - importance / stop_threshold)
-
-
-def survival_probability(importance: float, stop_threshold: float) -> float:
-    """Complement of stop_probability, min(1, importance/threshold)."""
-    if stop_threshold == 0:
-        return 1.0
-    return min(1.0, importance / stop_threshold)
+        return np.ones_like(imp)
+    return np.minimum(1.0, imp / stop_threshold)
 
 
 def incremental_weight(prev: float, target_prob: float,
@@ -181,22 +184,15 @@ def incremental_weight(prev: float, target_prob: float,
     return prev * target_prob / behavior_prob
 
 
-def recalc_weights(episode: Episode, stop_threshold: float, *,
-                   survival_mean: float | None = None) -> np.ndarray:
+def recalc_weights(importance, survival, survival_mean: float) -> np.ndarray:
     """Per-step training weights after early stopping (rejection control).
 
     Divides each step's importance by its survival probability and scales
-    by the mean survival probability (``survival_mean``; when None, the
-    mean over this episode's own steps); a step of zero importance has
-    zero survival and gets weight 0.
+    by the mean survival probability ``survival_mean``; a step of zero
+    importance has zero survival and gets weight 0.
     """
-    imp = np.array([s.importance for s in episode.steps])
-    surv = np.array(
-        [survival_probability(w, stop_threshold) for w in imp]
-    )
-    if survival_mean is None:
-        survival_mean = float(surv.mean())
-    return np.divide(survival_mean * imp, surv,
+    imp = np.asarray(importance, dtype=np.float64)
+    return np.divide(survival_mean * imp, survival,
                      out=np.zeros(imp.shape), where=imp > 0)
 
 
@@ -205,23 +201,19 @@ def compute_returns(rewards, gamma: float,
     """Per-step returns from an episode's per-step rewards.
 
     forward: discounted sum of this and later rewards.  reversed:
-    discounted sum of rewards up to and including this step.
+    discounted sum of rewards up to and including this step.  Both run the
+    same accumulation; forward runs it over the reversed rewards.
     """
     if mode not in RETURN_MODES:
         raise ValueError(f"mode must be one of {RETURN_MODES}")
+    forward = mode == "forward"
     r = np.asarray(rewards, dtype=np.float64)
     out = np.empty_like(r)
-    if mode == "forward":
-        acc = 0.0
-        for i in range(r.size - 1, -1, -1):
-            acc = r[i] + gamma * acc
-            out[i] = acc
-    else:
-        acc = 0.0
-        for i in range(r.size):
-            acc = gamma * acc + r[i]
-            out[i] = acc
-    return out
+    acc = 0.0
+    for i, x in enumerate(r[::-1] if forward else r):
+        acc = gamma * acc + x
+        out[i] = acc
+    return out[::-1] if forward else out
 
 
 def rerank_features(counts: np.ndarray) -> list:
@@ -256,15 +248,9 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
     last = len(order) - 1
     for t, feat in enumerate(order):
         action, b_prob = choose(q)
-        pi_prob = float(target[action])
-        running = incremental_weight(running, pi_prob, b_prob)
+        running = incremental_weight(running, float(target[action]), b_prob)
         steps.append(EpisodeStep(
-            feature=int(feat),
-            state=s,
-            action=action,
-            target_prob=pi_prob,
-            behavior_prob=b_prob,
-            importance=running,
+            feature=int(feat), state=s, action=action, importance=running,
         ))
         if action == 1:
             subset = subset | {feat}
@@ -374,8 +360,8 @@ def train(split, config: TrainConfig) -> RunReport:
     else:
         choose = lambda q: qlearner.random_policy(rng)
     # the walk asks stop after choose, so each step draws its action first
-    stop = lambda importance: (
-        rng.random() < stop_probability(importance, config.stop_threshold)
+    stop = lambda importance: rng.random() < 1.0 - survival_probability(
+        importance, config.stop_threshold
     )
 
     for ep in range(1, config.episodes + 1):
@@ -390,19 +376,16 @@ def train(split, config: TrainConfig) -> RunReport:
         tr.counts[[s.feature for s in episode.steps]] += 1
         tr.global_step += len(episode.steps)
 
-        # the mean survival over replay-memory steps; recalc_weights falls
-        # back to the episode's own steps while the memory is still empty
-        weights = recalc_weights(
-            episode, config.stop_threshold,
-            survival_mean=(float(np.mean(tr.survival_window))
-                           if tr.survival_window else None),
-        )
+        importance = np.array([s.importance for s in episode.steps])
+        survival = survival_probability(importance, config.stop_threshold)
+        # the mean survival over replay-memory steps, or over the episode's
+        # own steps while the memory is still empty
+        survival_mean = float(np.mean(tr.survival_window or survival))
+        weights = recalc_weights(importance, survival, survival_mean)
+        tr.survival_window.extend(survival)
         returns = compute_returns(advised, config.gamma, config.return_mode)
         for s, w, g in zip(episode.steps, weights, returns):
             tr.memory.push(s.state, s.action, w * g)
-            tr.survival_window.append(
-                survival_probability(s.importance, config.stop_threshold)
-            )
 
         losses = []
         for _ in range(config.updates_per_episode):

@@ -120,15 +120,10 @@ REPORT_SCHEMA = {
         "best_subset": _SUBSET_SCHEMA,
         "greedy_subset": _SUBSET_SCHEMA,
         "best_eval": {"type": "number"},
-        "test_metrics": {"anyOf": [_METRICS_SCHEMA, {"type": "null"}]},
+        "test_metrics": _METRICS_SCHEMA,
         "baselines": {
-            "anyOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": _BASELINE_SCHEMA,
-                },
-                {"type": "null"},
-            ],
+            "type": "object",
+            "additionalProperties": _BASELINE_SCHEMA,
         },
         "curves": {
             "type": "array",
@@ -145,10 +140,10 @@ REPORT_SCHEMA = {
         "seed": {"type": "integer"},
         "total_wall_ms": {"type": "number"},
     },
-    "required": ["schema_version", "config", "best_subset", "greedy_subset",
-                 "best_eval", "test_metrics", "baselines", "curves",
-                 "episodes_completed", "total_steps", "decision_counts",
-                 "seed", "total_wall_ms"],
+    "required": ["schema_version", "config", "dataset", "best_subset",
+                 "greedy_subset", "best_eval", "test_metrics", "baselines",
+                 "curves", "episodes_completed", "total_steps",
+                 "decision_counts", "seed", "total_wall_ms"],
     "additionalProperties": False,
 }
 

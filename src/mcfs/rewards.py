@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 
@@ -12,6 +11,11 @@ from . import forest
 from .info import feature_label_mi, pairwise_mi
 
 UTILITY_MODES = ("rv", "rd", "rvrd")
+# Upper bound on the reward weights and the shaping coefficient.  Rewards
+# and utilities are O(1), so a coefficient near 1e160 squares to inf in the
+# replay loss and near 1e308 makes the training targets non-finite; 1e6
+# leaves every such product far inside float range.
+MAX_COEFF = 1e6
 
 
 @dataclass(frozen=True)
@@ -24,9 +28,9 @@ class RewardWeights:
 
     def __post_init__(self):
         for w in (self.w_acc, self.w_rv, self.w_rd):
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError("reward weights must be finite and "
-                                 "non-negative")
+            if not 0 <= w <= MAX_COEFF:
+                raise ValueError("reward weights must lie in the range "
+                                 f"[0, {MAX_COEFF:g}]")
         if self.w_acc == self.w_rv == self.w_rd == 0:
             raise ValueError("at least one reward weight must be positive")
 
@@ -87,7 +91,7 @@ def eval_reward(subset, split, weights: RewardWeights, seed: int,
         sub_seed = _subset_seed(seed, cols)
         model = forest.train_forest(split.train, cols, n_trees=n_trees,
                                     seed=sub_seed.generate_state(1)[0])
-        acc = forest.evaluate(model, split.test, cols).accuracy
+        acc = forest.evaluate(model, split.test).accuracy
     rv = relevance(cols, split.train) if weights.w_rv else 0.0
     rd = redundancy(cols, split.train) if weights.w_rd else 0.0
     return weights.w_acc * acc + weights.w_rv * rv - weights.w_rd * rd

@@ -1,7 +1,7 @@
 """Helpers that only the tests need: flat parameter views of an MLP, a CSV
 writer for datasets, the entropy of a code sequence, and the plain forms
-that the fast state statistics, Adam step and replay ring are pinned
-against."""
+that the fast state statistics, Adam step, replay ring, stop rule,
+weight recalculation and returns are pinned against."""
 
 import csv
 from collections import deque
@@ -105,3 +105,46 @@ class DequeReplay:
         k = min(k, len(self._items))
         idx = rng.choice(len(self._items), size=k, replace=False)
         return [self._items[i] for i in idx]
+
+
+def stop_probability(importance: float, stop_threshold: float) -> float:
+    """The walk's chance of stopping after a step, one scalar at a time: the
+    reference for ``1 - engine.survival_probability``."""
+    if importance < 0 or stop_threshold < 0:
+        raise ValueError("importance and stop_threshold must be non-negative")
+    if stop_threshold == 0:
+        return 0.0
+    return max(0.0, 1.0 - importance / stop_threshold)
+
+
+def step_recalc_weights(importances, stop_threshold: float,
+                        survival_mean: float | None = None) -> np.ndarray:
+    """Rejection-control weights with each step's survival computed on its
+    own, and the episode's own mean survival when ``survival_mean`` is
+    None: the reference for ``engine.recalc_weights``."""
+    imp = np.array(importances, dtype=np.float64)
+    surv = np.array([
+        1.0 if stop_threshold == 0 else min(1.0, w / stop_threshold)
+        for w in imp
+    ])
+    if survival_mean is None:
+        survival_mean = float(surv.mean())
+    return np.divide(survival_mean * imp, surv,
+                     out=np.zeros(imp.shape), where=imp > 0)
+
+
+def two_loop_returns(rewards, gamma: float, mode: str) -> np.ndarray:
+    """Returns with one loop per mode: the reference for
+    ``engine.compute_returns``."""
+    r = np.asarray(rewards, dtype=np.float64)
+    out = np.empty_like(r)
+    acc = 0.0
+    if mode == "forward":
+        for i in range(r.size - 1, -1, -1):
+            acc = r[i] + gamma * acc
+            out[i] = acc
+    else:
+        for i in range(r.size):
+            acc = gamma * acc + r[i]
+            out[i] = acc
+    return out

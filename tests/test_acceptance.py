@@ -27,21 +27,6 @@ def verdict(num, name, ok, detail=""):
     assert ok, line
 
 
-def batch_episode(importances):
-    """One-step-per-sample scaffold for weight recalculation checks."""
-    steps = [
-        engine.EpisodeStep(
-            feature=0, state=np.zeros(1), action=1, target_prob=0.5,
-            behavior_prob=0.5, importance=float(w),
-        )
-        for w in importances
-    ]
-    return engine.Episode(
-        steps=steps, stopped_early=False,
-        final_subset=frozenset(),
-    )
-
-
 class TestC1ShapingInvariance:
     def test_shaping_invariance(self):
         t0 = time.perf_counter()
@@ -102,24 +87,17 @@ class TestC3RejectionControl:
             n = 100_000
             actions = rng.integers(0, 2, size=n)
             rho = pi[actions] / b[actions]
-            surv = np.array(
-                [engine.survival_probability(r, v) for r in rho]
-            )
-            stop = np.array([engine.stop_probability(r, v) for r in rho])
-            assert np.allclose(surv + stop, 1.0, rtol=1e-12)
+            surv = engine.survival_probability(rho, v)
             keep = rng.random(n) < surv
             p_hat = float(surv.mean())
 
-            weights = engine.recalc_weights(
-                batch_episode(rho[keep]), v,
-                survival_mean=p_hat,
-            )
+            weights = engine.recalc_weights(rho[keep], surv[keep], p_hat)
             # batching one-step episodes must agree with per-episode calls
             kept_idx = np.flatnonzero(keep)
             for j in range(0, kept_idx.size, max(1, kept_idx.size // 25)):
+                one = rho[kept_idx[j:j + 1]]
                 single = engine.recalc_weights(
-                    batch_episode([rho[kept_idx[j]]]), v,
-                    survival_mean=p_hat,
+                    one, engine.survival_probability(one, v), p_hat,
                 )[0]
                 assert abs(single - weights[j]) <= 1e-12 * abs(single)
 

@@ -47,6 +47,8 @@ class TestFlagParsing:
         ("--stop-threshold", "-0.1", "stop_threshold"),
         ("--shaping-coeff", "-1", "shaping_coeff"),
         ("--shaping-coeff", "inf", "shaping_coeff"),
+        ("--shaping-coeff", "1e160", "shaping_coeff"),
+        ("--shaping-coeff", "1e308", "shaping_coeff"),
         ("--advise-steps", "-1", "advise_steps"),
         ("--seed", "-1", "seed"),
         ("--episodes", "0", "episodes"),
@@ -61,7 +63,7 @@ class TestFlagParsing:
 
     def test_bad_weights_exit_2(self):
         for spec in ("1,2", "a,b,c", "-1,0.1,0.1", "nan,0.1,0.1",
-                     "inf,0.1,0.1", "1,0.1,inf"):
+                     "inf,0.1,0.1", "1,0.1,inf", "1e200,1e200,1e200"):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["run", "--synthetic", "40,4,2", "--weights", spec])
             assert exc.value.code == 2

@@ -4,25 +4,23 @@ import hashlib
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mcfs import data, engine, qlearner, rewards, state
-from support import get_flat, set_flat
+from support import (get_flat, set_flat, step_recalc_weights,
+                     stop_probability, two_loop_returns)
 
 
-def make_episode(importances):
-    """Episode scaffold carrying only the fields a given op reads."""
-    steps = [
-        engine.EpisodeStep(
-            feature=t, state=np.zeros(1), action=1, target_prob=0.5,
-            behavior_prob=0.5, importance=float(w),
-        )
-        for t, w in enumerate(importances)
-    ]
-    return engine.Episode(
-        steps=steps, stopped_early=False,
-        final_subset=frozenset(range(len(steps))),
-    )
+def random_importances(rng, n):
+    """Importances spread around the thresholds, with exact zeros mixed in."""
+    imp = rng.uniform(0.0, 2.0, size=n)
+    imp[rng.random(n) < 0.2] = 0.0
+    return imp
+
+
+# thresholds that hit the edge cases: disabled, and ratios of exactly 1
+# against the importances 0.5 and 1.0 placed below
+EDGE_THRESHOLDS = (0.0, 0.5, 1.0)
 
 
 def zeroed_qnet(state_dim):
@@ -39,35 +37,55 @@ class TestTrainConfig:
             engine.TrainConfig(**{name: value})
 
 
+def stop_chance(importance, stop_threshold):
+    """The walk's stop rule: the complement of the survival probability."""
+    return 1.0 - engine.survival_probability(importance, stop_threshold)
+
+
 class TestStopProbability:
     def test_known_values(self):
-        assert_allclose(engine.stop_probability(0.3, 0.6), 0.5, rtol=1e-12)
-        assert engine.stop_probability(1.0, 0.5) == 0.0
-        assert engine.stop_probability(0.0, 0.5) == 1.0
+        assert_allclose(stop_chance(0.3, 0.6), 0.5, rtol=1e-12)
+        assert stop_chance(1.0, 0.5) == 0.0
+        assert stop_chance(0.0, 0.5) == 1.0
 
     def test_zero_threshold_disables(self):
         for w in (0.0, 0.2, 5.0):
-            assert engine.stop_probability(w, 0.0) == 0.0
+            assert stop_chance(w, 0.0) == 0.0
+        assert_array_equal(
+            engine.survival_probability(np.array([0.0, 0.2, 5.0]), 0.0),
+            [1.0, 1.0, 1.0],
+        )
 
     def test_always_a_probability(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            p = engine.stop_probability(rng.uniform(0, 3), rng.uniform(0, 1))
-            assert 0.0 <= p <= 1.0
+        surv = engine.survival_probability(rng.uniform(0, 3, size=200),
+                                           rng.uniform(0, 1))
+        assert np.all((0.0 <= surv) & (surv <= 1.0))
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
-            engine.stop_probability(-0.1, 0.5)
+            engine.survival_probability(-0.1, 0.5)
         with pytest.raises(ValueError):
-            engine.stop_probability(0.5, -0.1)
+            engine.survival_probability(0.5, -0.1)
+        with pytest.raises(ValueError):
+            engine.survival_probability(np.array([0.3, -0.1]), 0.5)
 
     def test_complements_survival(self):
+        # the same stop decision, bit for bit, as the scalar stop rule
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            w, v = rng.uniform(0, 2), rng.uniform(0.05, 1)
-            total = (engine.stop_probability(w, v)
-                     + engine.survival_probability(w, v))
-            assert_allclose(total, 1.0, rtol=1e-12)
+        cases = [(w, v) for w in (0.0, 0.5, 1.0) for v in EDGE_THRESHOLDS]
+        cases += [(rng.uniform(0, 2), rng.uniform(0, 1)) for _ in range(500)]
+        for w, v in cases:
+            assert stop_chance(w, v) == stop_probability(w, v)
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(2)
+        for v in (*EDGE_THRESHOLDS, 0.37):
+            imp = np.append(random_importances(rng, 60), [0.5, 1.0])
+            surv = engine.survival_probability(imp, v)
+            assert_array_equal(
+                surv, [engine.survival_probability(w, v) for w in imp]
+            )
 
 
 class TestIncrementalWeight:
@@ -125,29 +143,54 @@ class TestComputeReturns:
         with pytest.raises(ValueError):
             engine.compute_returns([1.0], 0.9, "sideways")
 
+    def test_matches_two_loop_reference(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 7, 40):
+            r = rng.normal(size=n)
+            for gamma in (0.0, 0.9, 1.0, rng.uniform()):
+                for mode in engine.RETURN_MODES:
+                    assert_array_equal(engine.compute_returns(r, gamma, mode),
+                                       two_loop_returns(r, gamma, mode))
+
+
+def weights_of(importances, stop_threshold, survival_mean=None):
+    """Recalculated weights as ``train`` computes them for one episode."""
+    imp = np.asarray(importances, dtype=np.float64)
+    surv = engine.survival_probability(imp, stop_threshold)
+    if survival_mean is None:
+        survival_mean = float(surv.mean())
+    return engine.recalc_weights(imp, surv, survival_mean)
+
 
 class TestRecalcWeights:
     def test_full_survival_keeps_weights(self):
-        ep = make_episode(importances=[0.8, 1.3, 2.0])
-        got = engine.recalc_weights(ep, 0.5)
+        got = weights_of([0.8, 1.3, 2.0], 0.5)
         assert_allclose(got, [0.8, 1.3, 2.0], rtol=1e-12)
 
     def test_rejection_control_by_hand(self):
         # survivals [0.8, 0.4], own-episode mean 0.6
-        ep = make_episode(importances=[0.4, 0.2])
-        got = engine.recalc_weights(ep, 0.5)
+        got = weights_of([0.4, 0.2], 0.5)
         assert_allclose(got, [0.3, 0.3], rtol=1e-12)
 
     def test_zero_importance_gets_zero_weight(self):
         # survivals [0.8, 0.0], own-episode mean 0.4; 0/0 would be nan
-        ep = make_episode(importances=[0.4, 0.0])
-        got = engine.recalc_weights(ep, 0.5)
+        got = weights_of([0.4, 0.0], 0.5)
         assert_allclose(got, [0.2, 0.0], rtol=1e-12)
 
     def test_explicit_survival_mean_scales(self):
-        ep = make_episode(importances=[0.4, 0.2])
-        got = engine.recalc_weights(ep, 0.5, survival_mean=1.2)
+        got = weights_of([0.4, 0.2], 0.5, survival_mean=1.2)
         assert_allclose(got, [0.6, 0.6], rtol=1e-12)
+
+    def test_matches_per_step_reference(self):
+        rng = np.random.default_rng(4)
+        for v in (*EDGE_THRESHOLDS, 0.37):
+            for n in (1, 5, 30):
+                imp = np.append(random_importances(rng, n), [0.5, 1.0])
+                assert_array_equal(weights_of(imp, v),
+                                   step_recalc_weights(imp, v))
+                mean = rng.uniform(0.1, 1.0)
+                assert_array_equal(weights_of(imp, v, mean),
+                                   step_recalc_weights(imp, v, mean))
 
 
 class TestRerankFeatures:
@@ -162,6 +205,21 @@ class TestRerankFeatures:
         assert engine.rerank_features(np.array([3, 1, 3, 1])) == [1, 3, 0, 2]
 
 
+def assert_importance_recurrence(ep, qnet, epsilon,
+                                 q_values=qlearner.q_values):
+    """Each step's importance is the last one times pi/b, with the softmax
+    target pi and the epsilon-greedy behavior b recomputed from the net at
+    the step's state."""
+    prev = 1.0
+    for s in ep.steps:
+        q = q_values(qnet, s.state)
+        pi = float(qlearner.target_policy(q)[s.action])
+        b = 1.0 - epsilon if s.action == int(np.argmax(q)) else epsilon
+        assert 0.0 < pi < 1.0
+        assert s.importance == prev * pi / b
+        prev = s.importance
+
+
 def toy_traverse(config, n=6, qnet=None, seed=0, represent=None):
     """One training-style walk over n features with a one-hot state."""
     qnet = qnet or qlearner.q_network(n, seed=1)
@@ -173,9 +231,7 @@ def toy_traverse(config, n=6, qnet=None, seed=0, represent=None):
         choose = lambda q: qlearner.behavior_policy(q, config.epsilon, rng)
     else:
         choose = lambda q: qlearner.random_policy(rng)
-    stop = lambda w: rng.random() < engine.stop_probability(
-        w, config.stop_threshold
-    )
+    stop = lambda w: rng.random() < stop_chance(w, config.stop_threshold)
     return engine.traverse_episode(qnet, list(range(n)), represent, choose,
                                    stop)
 
@@ -192,23 +248,19 @@ class TestTraverseEpisode:
         # zeroed net: softmax target is uniform and so is the random
         # behavior, hence every ratio is exactly 1 and nothing stops
         cfg = engine.TrainConfig(behavior_mode="random", stop_threshold=0.5)
-        ep = toy_traverse(cfg, n=8, qnet=zeroed_qnet(8), seed=3)
+        qnet = zeroed_qnet(8)
+        ep = toy_traverse(cfg, n=8, qnet=qnet, seed=3)
         assert len(ep.steps) == 8
         for s in ep.steps:
             assert s.importance == 1.0
-            assert s.target_prob == 0.5
-            assert s.behavior_prob == 0.5
+            pi = qlearner.target_policy(qlearner.q_values(qnet, s.state))
+            assert pi[s.action] == 0.5
 
     def test_importance_recurrence_and_prob_values(self):
         cfg = engine.TrainConfig(epsilon=0.2, stop_threshold=0.3)
-        ep = toy_traverse(cfg, n=10, seed=7)
-        prev = 1.0
-        for s in ep.steps:
-            assert s.behavior_prob in (0.8, 0.2)
-            assert 0.0 < s.target_prob < 1.0
-            expected = prev * s.target_prob / s.behavior_prob
-            assert abs(s.importance - expected) <= 1e-12 * abs(expected)
-            prev = s.importance
+        qnet = qlearner.q_network(10, seed=1)
+        ep = toy_traverse(cfg, n=10, qnet=qnet, seed=7)
+        assert_importance_recurrence(ep, qnet, cfg.epsilon)
 
     def test_subset_tracks_select_actions(self):
         tr = engine._Trainer(small_split(), quick_config())
@@ -253,9 +305,9 @@ class TestTraverseEpisode:
             selects = sum(s.action for s in ep.steps)
             assert 0 < selects < len(ep.steps)
             assert len(calls) == 1 + selects
-            for s in ep.steps:
-                pi = qlearner.target_policy(q_values(qnet, s.state))
-                assert s.target_prob == pi[s.action]
+            # each step's weight uses the policies of the state it saw
+            assert_importance_recurrence(ep, qnet, cfg.epsilon,
+                                         q_values=q_values)
 
     def test_state_computed_only_when_subset_changes(self):
         n = 8
@@ -310,8 +362,7 @@ def random_walk(tr, seed):
 
 def one_step_episode(feature=0, action=1):
     step = engine.EpisodeStep(
-        feature=feature, state=np.zeros(1), action=action, target_prob=0.5,
-        behavior_prob=0.5, importance=1.0,
+        feature=feature, state=np.zeros(1), action=action, importance=1.0,
     )
     return engine.Episode(steps=[step], stopped_early=False,
                           final_subset=frozenset({feature} if action else ()))

@@ -41,7 +41,7 @@ class TestTrainForest:
     def test_fits_separable_data(self):
         ds = separable_dataset()
         model = forest.train_forest(ds, [1, 3], n_trees=20, seed=0)
-        report = forest.evaluate(model, ds, [1, 3])
+        report = forest.evaluate(model, ds)
         assert report.accuracy >= 0.95
 
     def test_deterministic_per_seed(self):
@@ -86,12 +86,6 @@ class TestTrainForest:
         b = forest.train_forest(ds, [1, 3], n_trees=4, seed=2)
         assert_array_equal(forest.predict(a, ds), forest.predict(b, ds))
 
-    def test_evaluate_checks_subset_match(self):
-        ds = separable_dataset(60)
-        model = forest.train_forest(ds, [0, 1], n_trees=3, seed=0)
-        with pytest.raises(ValueError):
-            forest.evaluate(model, ds, [0, 2])
-
     def test_predictions_are_valid_classes(self):
         ds = separable_dataset(80, seed=4)
         model = forest.train_forest(ds, [0, 1, 2], n_trees=5, seed=1)
@@ -102,7 +96,7 @@ class TestTrainForest:
     def test_single_feature_tree(self):
         ds = separable_dataset(100, seed=5)
         model = forest.train_forest(ds, [1], n_trees=10, seed=0)
-        report = forest.evaluate(model, ds, [1])
+        report = forest.evaluate(model, ds)
         assert report.accuracy >= 0.9
 
     def test_vote_tie_goes_to_smallest_class(self):
@@ -233,7 +227,7 @@ class TestGeneralization:
             model = forest.train_forest(
                 sp.train, list(range(8)), n_trees=30, seed=seed
             )
-            accs.append(forest.evaluate(model, sp.test, list(range(8))).accuracy)
+            accs.append(forest.evaluate(model, sp.test).accuracy)
         assert np.median(accs) > 0.7
 
     def test_three_class_problem(self):
@@ -244,7 +238,7 @@ class TestGeneralization:
         ds = data.Dataset(x, y, ["a", "b", "c"], 3)
         sp = data.split_dataset(ds, 0.8, seed=0)
         model = forest.train_forest(sp.train, [0, 1, 2], n_trees=20, seed=0)
-        report = forest.evaluate(model, sp.test, [0, 1, 2])
+        report = forest.evaluate(model, sp.test)
         assert report.accuracy >= 0.8
         assert report.confusion.shape == (3, 3)
 

@@ -113,6 +113,18 @@ def test_minimums_kept(payload):
         assert_invalid(bad)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda p: p.update(test_metrics=None), id="null_metrics"),
+    pytest.param(lambda p: p.update(baselines=None), id="null_baselines"),
+    pytest.param(lambda p: p.pop("dataset"), id="no_dataset"),
+])
+def test_always_written_blocks_required(payload, edit):
+    # report_to_dict always writes these three from required arguments
+    bad = copy.deepcopy(payload)
+    edit(bad)
+    assert_invalid(bad)
+
+
 def test_version_1_report_fails(payload):
     old = copy.deepcopy(payload)
     old["schema_version"] = 1

@@ -121,7 +121,7 @@ class TestEvalReward:
             sp.train, sorted(sub), n_trees=10,
             seed=sub_seed.generate_state(1)[0], max_depth=12, min_leaf=2,
         )
-        direct = forest.evaluate(model, sp.test, sorted(sub)).accuracy
+        direct = forest.evaluate(model, sp.test).accuracy
         assert_allclose(acc, direct, rtol=1e-10)
 
     def test_call_order_does_not_matter(self):
