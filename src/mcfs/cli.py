@@ -13,9 +13,9 @@ final forest settings and seed.
 A sweep runs one arm per parameter value.  The three reference baselines
 depend only on the outer split and the seed, which no sweep parameter
 changes, so a sweep fits them once and each arm fits only its selected
-subset.  ``MCFS_THREADS`` > 1 runs the arms, and the references beside
-them, in that many worker processes, never more than there are arms.
-Arms share no state, so the reports equal the sequential ones.
+subset.  ``MCFS_THREADS`` > 1 runs the arms, then one task per reference
+subset, in that many worker processes, never more than there are arms.
+Tasks share no state, so the reports equal the sequential ones.
 """
 
 from __future__ import annotations
@@ -189,32 +189,30 @@ def _baseline_entry(split, subset, seed, n_trees=FINAL_TREES) -> dict:
     }
 
 
-def reference_baselines(split, seed, n_trees=FINAL_TREES) -> dict:
-    """Held-out metrics for the three reference subsets.
+def reference_subsets(train, seed) -> dict:
+    """The three reference subsets, by baseline name.
 
     all_features, the top half of features by label information, and a
     random subset of the same size drawn deterministically from the seed.
-    They depend only on the split and the seed, not on what a run selects.
+    They depend only on the training fold and the seed, not on what a run
+    selects.
     """
-    d = split.train.n_features
+    d = train.n_features
     k = max(1, d // 2)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 104729]))
-    entries = {
-        "all_features": list(range(d)),
-        "kbest": info.kbest_select(split.train, k),
-        "random": rng.choice(d, size=k, replace=False),
-    }
     return {
-        name: _baseline_entry(split, cols, seed, n_trees)
-        for name, cols in entries.items()
+        "all_features": list(range(d)),
+        "kbest": info.kbest_select(train, k),
+        "random": rng.choice(d, size=k, replace=False),
     }
 
 
 def compare_baselines(split, selected, seed, n_trees=FINAL_TREES) -> dict:
-    """Held-out metrics for the selected subset and the reference subsets."""
+    """Held-out metrics for the reference subsets and the selected one."""
+    subsets = {**reference_subsets(split.train, seed), "selected": selected}
     return {
-        **reference_baselines(split, seed, n_trees),
-        "selected": _baseline_entry(split, selected, seed, n_trees),
+        name: _baseline_entry(split, cols, seed, n_trees)
+        for name, cols in subsets.items()
     }
 
 
@@ -234,12 +232,6 @@ def _execute_run(ds, meta, config, references=True):
             "selected": _baseline_entry(outer, run.best_subset, config.seed)
         }
     return reports.report_to_dict(run, ds.feature_names, meta, baselines)
-
-
-def _sweep_references(ds, seed):
-    """A sweep's reference baselines, fitted on the outer split of ``ds``."""
-    outer = data.split_dataset(ds, TRAIN_RATIO, seed=seed)
-    return reference_baselines(outer, seed)
 
 
 def _print_summary(payload):
@@ -294,17 +286,22 @@ def cmd_sweep(args, parser) -> int:
 
     ds, meta = _load_dataset(args)
     arm = functools.partial(_execute_run, ds, meta, references=False)
-    references = functools.partial(_sweep_references, ds, base.seed)
+    outer = data.split_dataset(ds, TRAIN_RATIO, seed=base.seed)
+    subsets = reference_subsets(outer.train, base.seed)
+    entry = functools.partial(_baseline_entry, outer, seed=base.seed)
     # a fork-started pool starts every worker at once: one per arm at most
     workers = min(workers, len(configs))
     if workers > 1:
+        # the arms go first, so the longest one does not start last
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            ref_job = pool.submit(references)
-            payloads = list(pool.map(arm, configs))
-            refs = ref_job.result()
+            arm_jobs = [pool.submit(arm, c) for c in configs]
+            ref_jobs = {name: pool.submit(entry, cols)
+                        for name, cols in subsets.items()}
+            payloads = [job.result() for job in arm_jobs]
+            refs = {name: job.result() for name, job in ref_jobs.items()}
     else:
-        refs = references()
         payloads = [arm(c) for c in configs]
+        refs = {name: entry(cols) for name, cols in subsets.items()}
     for payload in payloads:
         payload["baselines"] = {**refs, **payload["baselines"]}
 

@@ -12,6 +12,13 @@ class DataError(ValueError):
     """Raised when a data file cannot be turned into a valid dataset."""
 
 
+# largest feature magnitude a dataset accepts.  The forests and the MI
+# estimators bin by quantiles and never see raw magnitudes, but the meta
+# state squares deviations of the raw values: near 1e154 those squares
+# overflow, and the run would train on NaN states and write NaN losses
+MAX_ABS_FEATURE = 1e100
+
+
 @dataclass(eq=False)
 class Dataset:
     """A fixed design matrix with integer class labels.
@@ -51,6 +58,9 @@ class Dataset:
             raise DataError("feature names must be unique")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features contain non-finite values")
+        if np.abs(self.features).max() > MAX_ABS_FEATURE:
+            raise DataError("feature magnitudes must not exceed "
+                            f"{MAX_ABS_FEATURE:g}")
         if self.n_classes < 2:
             raise DataError("at least two classes are required")
         if self.labels.size and (

@@ -6,6 +6,14 @@ once, and a fitted forest is one flat set of node arrays (see
 Python; the only per-tree loops draw each tree's random numbers.  A
 training fold's bin edges and codes are computed once for all its columns
 and kept on the dataset (``Dataset.derived``).
+
+Each level's split search counts one joint (class, slot, candidate, bin)
+histogram, then scores it in blocks of consecutive slots, the cache-aware
+blocks of XGBoost (Chen & Guestrin, KDD 2016, section 4.2).  Scored a
+whole level at a time, the cumulative counts, squares and scores of a
+100-tree fit on 1600 rows were ~10 MB arrays each; a block keeps them
+small enough to stay in the L2 cache.  A slot's counts, arithmetic and
+tie order do not depend on its block, so neither do the trees.
 """
 
 from __future__ import annotations
@@ -20,6 +28,11 @@ MAX_BINS = 32
 # level-wise growth and prediction touch units = trees * rows at once;
 # batches of trees keep the per-level scratch arrays bounded
 _UNIT_BUDGET = 60_000
+
+# cells per split-scoring block: 128 KiB per int64 temporary fits in L2.
+# Blocks of 4,096 to 32,768 cells fitted equally fast; from 262,144 cells
+# on, the speed-up over whole-level scoring was gone
+_SCORE_CELLS = 16_384
 
 
 @dataclass(eq=False)
@@ -197,22 +210,30 @@ def _best_splits(codes_sub, hist, sizes, split, act_tree, u_row, u_y, u_slot,
     key = ((u_y[live] * S + rank_l) * (m * B))[:, None] + np.arange(m) * B
     key += code_l
     jh = np.bincount(key.ravel(), minlength=C * S * m * B).reshape(C, S, m, B)
-    cum = np.cumsum(jh[..., :-1], axis=3)
-    nl = cum.sum(axis=0)
-    nr = sizes[split][:, None, None] - nl
-    left_sq = np.square(cum).sum(axis=0)
-    right = hist[split].T[:, :, None, None] - cum
-    right_sq = np.square(right, out=right).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = (nl - left_sq / nl) + (nr - right_sq / nr)
-    score[np.minimum(nl, nr) < min_leaf] = np.inf
 
-    score = score.reshape(S, -1)
-    flat_best = np.argmin(score, axis=1)
-    j_best, b_best = np.divmod(flat_best, B - 1)
-    best = score[np.arange(S), flat_best]
+    # score blocks of consecutive slots (see the module docstring)
+    h_split = hist[split]
     sz = sizes[split]
-    parent = sz - np.square(hist[split]).sum(axis=1) / sz
+    flat_best = np.empty(S, dtype=np.int64)
+    best = np.empty(S)
+    step = max(1, _SCORE_CELLS // (C * m * B))
+    for lo in range(0, S, step):
+        blk = slice(lo, lo + step)
+        cum = np.cumsum(jh[:, blk, :, :-1], axis=3)
+        nl = cum.sum(axis=0)
+        nr = sz[blk, None, None] - nl
+        left_sq = np.square(cum).sum(axis=0)
+        right = h_split[blk].T[:, :, None, None] - cum
+        right_sq = np.square(right, out=right).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = (nl - left_sq / nl) + (nr - right_sq / nr)
+        score[np.minimum(nl, nr) < min_leaf] = np.inf
+        score = score.reshape(nl.shape[0], -1)
+        fb = flat_best[blk] = np.argmin(score, axis=1)
+        best[blk] = score[np.arange(fb.size), fb]
+
+    j_best, b_best = np.divmod(flat_best, B - 1)
+    parent = sz - np.square(h_split).sum(axis=1) / sz
     gain = np.isfinite(best) & (best < parent - 1e-12)
     return split[gain], cand[gain, j_best[gain]], b_best[gain]
 

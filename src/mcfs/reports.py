@@ -10,7 +10,9 @@ schemas are generated from those dataclasses.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -176,8 +178,31 @@ def report_to_dict(run, feature_names, dataset, baselines) -> dict:
     }
 
 
+def _finite_number(checker, instance) -> bool:
+    if isinstance(instance, float):
+        return math.isfinite(instance)
+    return jsonschema.Draft202012Validator.TYPE_CHECKER.is_type(
+        instance, "number"
+    )
+
+
+@functools.cache
+def _report_validator():
+    """REPORT_SCHEMA's validator, built and checked once per process.
+
+    A "number" must be finite: ``json.dumps`` would write NaN and
+    infinities as bare tokens that are not JSON.
+    """
+    base = jsonschema.Draft202012Validator
+    base.check_schema(REPORT_SCHEMA)
+    cls = jsonschema.validators.extend(
+        base, type_checker=base.TYPE_CHECKER.redefine("number", _finite_number)
+    )
+    return cls(REPORT_SCHEMA)
+
+
 def validate_report(payload: dict) -> None:
-    jsonschema.validate(payload, REPORT_SCHEMA)
+    _report_validator().validate(payload)
 
 
 def write_report_files(payload: dict, out_dir) -> tuple[Path, Path]:
@@ -187,7 +212,7 @@ def write_report_files(payload: dict, out_dir) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     csv_path = out / "curves.csv"
     with open(csv_path, "w", newline="") as fh:

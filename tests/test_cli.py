@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -172,6 +173,28 @@ class TestRunCommand:
         assert payload["dataset"]["source"] == str(csv_path)
         assert payload["dataset"]["n_features"] == 4
 
+    def test_huge_feature_values_exit_1_before_training(self, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+        # at this scale the meta state overflowed and the run wrote NaN
+        ds, _ = data.synth_classification(60, 4, 2, seed=9)
+        scaled = SimpleNamespace(
+            feature_names=ds.feature_names, n_samples=ds.n_samples,
+            features=ds.features * 1e160, labels=ds.labels,
+        )
+        csv_path = tmp_path / "ds.csv"
+        write_csv(scaled, csv_path)
+
+        def no_training(*args):
+            raise AssertionError("training started on out-of-bound data")
+
+        monkeypatch.setattr(engine, "train", no_training)
+        code = cli.main(["run", "--data", str(csv_path), "--episodes", "3",
+                         "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "1e+100" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = cli.main(["run", "--data", str(tmp_path / "no.csv"),
                          "--out", str(tmp_path / "o")])
@@ -261,8 +284,8 @@ class TestSweep:
 
     def test_more_arms_than_workers_match_sequential(self, tmp_path,
                                                      monkeypatch):
-        # three arms and the reference job on two workers: a worker runs
-        # more than one job
+        # three arms and three reference fits on two workers: a worker
+        # runs more than one task
         argv = ["sweep", "--synthetic", "80,5,2", "--episodes", "3",
                 "--seed", "5", "--param", "stop-threshold",
                 "--values", "0.0,0.5,1.0"]
@@ -295,6 +318,25 @@ class TestSweep:
         ])
         assert code == 0
         assert started and started[0] == 2
+
+    def test_arms_queued_before_reference_fits(self, tmp_path, monkeypatch):
+        queued = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                queued.append(fn.func.__name__)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SpyPool)
+        monkeypatch.setenv("MCFS_THREADS", "2")
+        code = cli.main([
+            "sweep", "--synthetic", "80,5,2", "--episodes", "3",
+            "--seed", "4", "--param", "utility-mode", "--values", "rv,rvrd",
+            "--out", str(tmp_path / "sw"),
+        ])
+        assert code == 0
+        assert queued == ["_execute_run"] * 2 + ["_baseline_entry"] * 3
 
     def test_reference_forests_fitted_once(self, tmp_path, monkeypatch):
         fits = []

@@ -40,6 +40,14 @@ class TestDataset:
         with pytest.raises(data.DataError):
             data.Dataset(x, [0, 1, 0, 1], ["a", "b"], 2)
 
+    def test_rejects_magnitudes_beyond_bound(self):
+        x = np.ones((4, 2))
+        x[2, 1] = data.MAX_ABS_FEATURE
+        data.Dataset(x, [0, 1, 0, 1], ["a", "b"], 2)
+        x[2, 1] = -1e101
+        with pytest.raises(data.DataError, match=r"1e\+100"):
+            data.Dataset(x, [0, 1, 0, 1], ["a", "b"], 2)
+
     def test_rejects_label_out_of_range(self):
         with pytest.raises(data.DataError):
             data.Dataset(np.ones((3, 2)), [0, 1, 2], ["a", "b"], 2)

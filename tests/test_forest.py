@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,25 @@ class TestTrainForest:
             assert_array_equal(getattr(full, name), getattr(single, name))
         # prediction walks one tree per batch here
         assert_array_equal(forest.predict(single, ds), pred)
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    def test_score_block_size_does_not_change_trees(self, monkeypatch,
+                                                    n_classes, min_leaf):
+        # scoring the slots in small blocks must pick the same splits as
+        # scoring each level in one pass
+        ds, _ = data.synth_classification(300, 9, 4, seed=n_classes,
+                                          n_classes=n_classes)
+        fit = functools.partial(forest.train_forest, ds, range(9),
+                                n_trees=6, seed=min_leaf, min_leaf=min_leaf)
+        monkeypatch.setattr(forest, "_SCORE_CELLS", 10**9)
+        whole = fit()
+        monkeypatch.setattr(forest, "_SCORE_CELLS", 1000)
+        blocked = fit()
+        for name in NODE_FIELDS:
+            assert_array_equal(getattr(whole, name), getattr(blocked, name))
+        assert_array_equal(forest.predict(blocked, ds),
+                           forest.predict(whole, ds))
 
     def test_rejects_bad_subsets(self):
         ds = separable_dataset(50)
@@ -198,6 +218,12 @@ class TestBinnedView:
 
 
 class TestGoldenForest:
+    # one slot per scoring block, the default blocks, and one whole-level
+    # block must all grow the pinned forests
+    @pytest.mark.parametrize(
+        "score_cells", [1, forest._SCORE_CELLS, 10**9],
+        ids=["slot", "default", "level"],
+    )
     @pytest.mark.parametrize(
         "name, subset, seed, n_trees, max_depth, min_leaf, digest, n_nodes,"
         " predictions",
@@ -205,7 +231,8 @@ class TestGoldenForest:
     )
     def test_same_forest_as_reference(self, name, subset, seed, n_trees,
                                       max_depth, min_leaf, digest, n_nodes,
-                                      predictions):
+                                      predictions, score_cells, monkeypatch):
+        monkeypatch.setattr(forest, "_SCORE_CELLS", score_cells)
         sp = golden_split(name)
         model = forest.train_forest(
             sp.train, subset, n_trees=n_trees, seed=seed,
@@ -277,3 +304,20 @@ class TestMetrics:
         d = forest.metrics_from_confusion(cm).as_dict()
         assert d["n_samples"] == 8
         assert d["confusion"] == [[3, 1], [0, 4]]
+
+
+class TestFitMemory:
+    def test_large_fit_peak_stays_bounded(self):
+        # a 100-tree reference fit on the wide shape's outer training fold
+        # (1600 rows, 60 columns); whole-level split scoring peaked at
+        # about 31 MiB here, blocked scoring at about 12 MiB
+        ds, _ = data.synth_classification(2000, 60, 10, seed=0)
+        train = data.split_dataset(ds, 0.8, seed=0).train
+        train.derived(forest._binned)
+        tracemalloc.start()
+        try:
+            forest.train_forest(train, range(60), n_trees=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

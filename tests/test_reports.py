@@ -130,3 +130,41 @@ def test_version_1_report_fails(payload):
     old["schema_version"] = 1
     old["config"]["recalc_mode"] = "rejection_control"
     assert_invalid(old)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda p: p["curves"][0].update(loss=float("nan")),
+                 id="nan_loss"),
+    pytest.param(lambda p: p.update(best_eval=float("inf")),
+                 id="inf_best_eval"),
+])
+def test_non_finite_numbers_fail(payload, edit):
+    # json.dumps would write these as bare NaN or Infinity, which is not JSON
+    bad = copy.deepcopy(payload)
+    edit(bad)
+    assert_invalid(bad)
+
+
+def test_non_finite_free_form_value_is_not_written(payload, tmp_path):
+    # the dataset block admits extra keys, which the schema does not type
+    bad = copy.deepcopy(payload)
+    bad["dataset"]["scale"] = float("nan")
+    with pytest.raises(ValueError):
+        reports.write_report_files(bad, tmp_path)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_schema_checked_once(payload, monkeypatch):
+    calls = []
+    check = jsonschema.Draft202012Validator.check_schema
+
+    def counting(cls, schema, *args, **kwargs):
+        calls.append(schema)
+        return check(schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                        classmethod(counting))
+    reports._report_validator.cache_clear()
+    reports.validate_report(payload)
+    reports.validate_report(payload)
+    assert calls == [reports.REPORT_SCHEMA]
