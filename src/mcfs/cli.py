@@ -10,12 +10,11 @@ rewards come from a nested 80/20 split of the training fold, so the outer
 test fold stays untouched until the final report.  Baselines share the
 final forest settings and seed.
 
-A sweep runs one arm per parameter value.  The three reference baselines
-depend only on the outer split and the seed, which no sweep parameter
-changes, so a sweep fits them once and each arm fits only its selected
-subset.  ``MCFS_THREADS`` > 1 runs the arms, then one task per reference
-subset, in that many worker processes, never more than there are arms.
-Tasks share no state, so the reports equal the sequential ones.
+A run is a sweep of one arm.  The three reference baselines depend only
+on the outer split and the seed, so they are fitted once and each arm fits
+only its selected subset.  ``MCFS_THREADS`` > 1 queues the arms, then one
+task per reference subset, on that many worker processes (at most one per
+task).  Tasks share no state, so the reports equal the sequential ones.
 """
 
 from __future__ import annotations
@@ -207,31 +206,48 @@ def reference_subsets(train, seed) -> dict:
     }
 
 
-def compare_baselines(split, selected, seed, n_trees=FINAL_TREES) -> dict:
-    """Held-out metrics for the reference subsets and the selected one."""
-    subsets = {**reference_subsets(split.train, seed), "selected": selected}
-    return {
-        name: _baseline_entry(split, cols, seed, n_trees)
-        for name, cols in subsets.items()
-    }
+def compare_baselines(split, subsets, seed, pool=None,
+                      n_trees=FINAL_TREES) -> dict:
+    """Held-out metrics of each subset by name; one ``pool`` task each."""
+    entry = functools.partial(_baseline_entry, split, seed=seed,
+                              n_trees=n_trees)
+    if pool is None:
+        return {name: entry(cols) for name, cols in subsets.items()}
+    jobs = {name: pool.submit(entry, cols) for name, cols in subsets.items()}
+    return {name: job.result() for name, job in jobs.items()}
 
 
-def _execute_run(ds, meta, config, references=True):
-    """Train on the nested split and attach held-out baselines.
-
-    With ``references`` False the baselines hold only the ``selected``
-    entry: a sweep fits the reference subsets once for all of its arms.
-    """
-    outer = data.split_dataset(ds, TRAIN_RATIO, seed=config.seed)
+def _execute_run(outer, meta, config):
+    """One arm: train inside ``outer``, then fit the selected subset."""
     inner = data.split_dataset(outer.train, TRAIN_RATIO, seed=config.seed)
     run = engine.train(inner, config)
-    if references:
-        baselines = compare_baselines(outer, run.best_subset, config.seed)
+    baselines = {"selected": _baseline_entry(outer, run.best_subset,
+                                             config.seed)}
+    return reports.report_to_dict(run, outer.train.feature_names, meta,
+                                  baselines)
+
+
+def _run_arms(ds, meta, configs, workers) -> list:
+    """Each config's report payload; the configs share one seed, so one
+    outer split and one set of reference baselines."""
+    seed = configs[0].seed
+    outer = data.split_dataset(ds, TRAIN_RATIO, seed=seed)
+    subsets = reference_subsets(outer.train, seed)
+    arm = functools.partial(_execute_run, outer, meta)
+    # a fork-started pool starts every worker at once: one per task at most
+    workers = min(workers, len(configs) + len(subsets))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            # the arms go first, so the longest one does not start last
+            jobs = [pool.submit(arm, c) for c in configs]
+            refs = compare_baselines(outer, subsets, seed, pool)
+            payloads = [job.result() for job in jobs]
     else:
-        baselines = {
-            "selected": _baseline_entry(outer, run.best_subset, config.seed)
-        }
-    return reports.report_to_dict(run, ds.feature_names, meta, baselines)
+        payloads = [arm(c) for c in configs]
+        refs = compare_baselines(outer, subsets, seed)
+    for payload in payloads:
+        payload["baselines"] = {**refs, **payload["baselines"]}
+    return payloads
 
 
 def _print_summary(payload):
@@ -247,9 +263,10 @@ def _print_summary(payload):
 
 
 def cmd_run(args, parser) -> int:
+    workers = _workers(parser)
     config = _config_from_args(args, parser)
     ds, meta = _load_dataset(args)
-    payload = _execute_run(ds, meta, config)
+    [payload] = _run_arms(ds, meta, [config], workers)
     json_path, csv_path = reports.write_report_files(payload, args.out)
     _print_summary(payload)
     print(f"report: {json_path}")
@@ -257,7 +274,7 @@ def cmd_run(args, parser) -> int:
     return 0
 
 
-def _sweep_workers(parser) -> int:
+def _workers(parser) -> int:
     """Worker processes from MCFS_THREADS; values below 1 mean one."""
     raw = os.environ.get("MCFS_THREADS", "1")
     try:
@@ -267,7 +284,7 @@ def _sweep_workers(parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    workers = _sweep_workers(parser)
+    workers = _workers(parser)
     base = _config_from_args(args, parser)
     name = SWEEP_PARAMS[args.param]
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -285,25 +302,7 @@ def cmd_sweep(args, parser) -> int:
         configs.append(config)
 
     ds, meta = _load_dataset(args)
-    arm = functools.partial(_execute_run, ds, meta, references=False)
-    outer = data.split_dataset(ds, TRAIN_RATIO, seed=base.seed)
-    subsets = reference_subsets(outer.train, base.seed)
-    entry = functools.partial(_baseline_entry, outer, seed=base.seed)
-    # a fork-started pool starts every worker at once: one per arm at most
-    workers = min(workers, len(configs))
-    if workers > 1:
-        # the arms go first, so the longest one does not start last
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            arm_jobs = [pool.submit(arm, c) for c in configs]
-            ref_jobs = {name: pool.submit(entry, cols)
-                        for name, cols in subsets.items()}
-            payloads = [job.result() for job in arm_jobs]
-            refs = {name: job.result() for name, job in ref_jobs.items()}
-    else:
-        payloads = [arm(c) for c in configs]
-        refs = {name: entry(cols) for name, cols in subsets.items()}
-    for payload in payloads:
-        payload["baselines"] = {**refs, **payload["baselines"]}
+    payloads = _run_arms(ds, meta, configs, workers)
 
     out = Path(args.out)
     rows = []

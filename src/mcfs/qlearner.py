@@ -66,7 +66,9 @@ def train_step(qnet: MLP, batch, lr: float) -> float:
     ``batch`` is a (states, actions, weighted_returns) triple of arrays, one
     row per sample, as ``ReplayMemory.sample`` returns it.  The loss is the
     mean squared gap between Q(state, action) and the target, measured
-    before the update; that pre-update value is returned.
+    before the update; that pre-update value is returned.  A batch whose
+    arrays differ in length, or whose actions are not the integers 0 or 1,
+    raises ``ValueError`` before the forward pass.
     """
     states, actions, targets = batch
     states = np.asarray(states, dtype=np.float64)
@@ -74,6 +76,10 @@ def train_step(qnet: MLP, batch, lr: float) -> float:
     targets = np.asarray(targets, dtype=np.float64)
     if len(targets) == 0:
         raise ValueError("empty training batch")
+    if not len(states) == len(actions) == len(targets):
+        raise ValueError("states, actions and targets differ in length")
+    if actions.dtype.kind not in "iu":
+        raise ValueError("actions must be integers")
     if not np.all(np.isfinite(targets)):
         raise ValueError("non-finite training targets")
     if not np.all((actions >= 0) & (actions < N_ACTIONS)):

@@ -1,14 +1,15 @@
 """Helpers that only the tests need: flat parameter views of an MLP, a CSV
-writer for datasets, the entropy of a code sequence, and the plain forms
-that the fast state statistics, Adam step, replay ring, stop rule,
-weight recalculation and returns are pinned against."""
+writer for datasets, the report payload of one run, the entropy of a code
+sequence, and the plain forms that the fast state statistics, Adam step,
+replay ring, stop rule, weight recalculation and returns are pinned
+against."""
 
 import csv
 from collections import deque
 
 import numpy as np
 
-from mcfs import data, nn
+from mcfs import cli, data, nn
 
 
 def get_flat(net) -> np.ndarray:
@@ -41,6 +42,13 @@ def write_csv(ds, path, label_col: str = "label") -> None:
             writer.writerow(
                 [repr(float(v)) for v in ds.features[i]] + [int(ds.labels[i])]
             )
+
+
+def run_payload(ds, meta, config) -> dict:
+    """The report payload ``mcfs run`` writes for ``config``, built in this
+    process: the arm plus the three reference baselines."""
+    [payload] = cli._run_arms(ds, meta, [config], 1)
+    return payload
 
 
 def entropy(codes: np.ndarray) -> float:

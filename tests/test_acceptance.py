@@ -16,7 +16,7 @@ import pytest
 
 from mcfs import cli, data, engine, nn, qlearner
 from tabular_oracle import TabularMDP, check_invariance
-from support import flat_grads, get_flat, set_flat
+from support import flat_grads, get_flat, run_payload, set_flat
 
 
 def verdict(num, name, ok, detail=""):
@@ -170,7 +170,7 @@ def benchmark_payload(seed):
         "n_classes": ds.n_classes,
         "train_ratio": cli.TRAIN_RATIO,
     }
-    return cli._execute_run(ds, meta, engine.TrainConfig(seed=seed))
+    return run_payload(ds, meta, engine.TrainConfig(seed=seed))
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,7 +194,7 @@ def paired_payload(seed, stop_threshold, behavior):
         episodes=120, max_global_steps=2160, stop_threshold=stop_threshold,
         behavior_mode=behavior, seed=seed,
     )
-    return cli._execute_run(ds, meta, config)
+    return run_payload(ds, meta, config)
 
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -305,7 +305,7 @@ class TestC8OptionalDataset:
             "train_ratio": cli.TRAIN_RATIO,
         }
         config = engine.TrainConfig(episodes=500, seed=0)
-        payload = cli._execute_run(ds, meta, config)
+        payload = run_payload(ds, meta, config)
         acc = payload["test_metrics"]["accuracy"]
         verdict(8, "spambase holdout", acc >= 0.90, f"accuracy {acc:.4f}")
 
@@ -371,8 +371,8 @@ class TestC9EngineInvariants:
             "train_ratio": cli.TRAIN_RATIO,
         }
         cfg = engine.TrainConfig(episodes=10, max_global_steps=100, seed=12)
-        a = cli._execute_run(ds2, meta, cfg)
-        b = cli._execute_run(ds2, meta, cfg)
+        a = run_payload(ds2, meta, cfg)
+        b = run_payload(ds2, meta, cfg)
         checks["determinism per seed"] = stripped(a) == stripped(b)
 
         failed = [name for name, good in checks.items() if not good]

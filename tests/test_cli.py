@@ -1,7 +1,9 @@
 """Command-line harness: flags, reports, baselines, and sweeps."""
 
 import concurrent.futures
+import csv
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +30,39 @@ def stripped_report(out_dir):
     for row in payload["curves"]:
         row.pop("wall_ms")
     return json.dumps(payload, sort_keys=True)
+
+
+def stripped_curves(out_dir):
+    with open(Path(out_dir) / "curves.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row.pop("wall_ms")
+    return rows
+
+
+def baselines(split, selected, seed, **kwargs):
+    """``compare_baselines`` over the reference subsets and ``selected``."""
+    subsets = {**cli.reference_subsets(split.train, seed),
+               "selected": selected}
+    return cli.compare_baselines(split, subsets, seed, **kwargs)
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    """Records the function of each queued task and each pool's workers."""
+    seen = SimpleNamespace(queued=[], started=[])
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            seen.queued.append(fn.func.__name__)
+            return super().submit(fn, *args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            seen.started.append(len(self._processes))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return seen
 
 
 class TestFlagParsing:
@@ -80,12 +115,16 @@ class TestFlagParsing:
                 cli.main(["run", "--synthetic", spec])
             assert exc.value.code == 2
 
-    def test_non_integer_worker_count_exits_2(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--param", "stop-threshold", "--values", "0.2,0.8"],
+    ], ids=["run", "sweep"])
+    def test_non_integer_worker_count_exits_2(self, command, monkeypatch,
+                                              capsys):
         monkeypatch.setattr(cli, "_load_dataset", no_data)
         monkeypatch.setenv("MCFS_THREADS", "abc")
         with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--synthetic", "40,4,2",
-                      "--param", "stop-threshold", "--values", "0.2,0.8"])
+            cli.main([*command, "--synthetic", "40,4,2"])
         assert exc.value.code == 2
         assert "MCFS_THREADS" in capsys.readouterr().err
 
@@ -149,6 +188,43 @@ class TestRunCommand:
         assert stripped_report(tmp_path / "a") == stripped_report(
             tmp_path / "b"
         )
+
+    def test_worker_count_does_not_change_results(self, tmp_path,
+                                                  monkeypatch, capsys):
+        out = tmp_path / "r"
+        seen = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MCFS_THREADS", threads)
+            assert cli.main(run_args(out)) == 0
+            seen.append((stripped_report(out), stripped_curves(out),
+                         capsys.readouterr().out))
+        assert seen[0] == seen[1]
+
+    def test_pool_queues_the_arm_before_reference_fits(self, tmp_path,
+                                                       monkeypatch,
+                                                       spy_pool):
+        monkeypatch.setenv("MCFS_THREADS", "2")
+        assert cli.main(run_args(tmp_path / "r")) == 0
+        assert spy_pool.queued == ["_execute_run"] + ["_baseline_entry"] * 3
+        # the arm trains in one worker while the other fits the references
+        assert spy_pool.started == [2]
+
+    def test_failing_arm_in_worker_exits_1(self, tmp_path, monkeypatch,
+                                           capsys):
+        # fork-started workers inherit the patched engine.train
+        train = engine.train
+        parent = os.getpid()
+
+        def failing_train(split, config):
+            if os.getpid() != parent:
+                raise ValueError("arm failed in a worker")
+            return train(split, config)
+
+        monkeypatch.setattr(engine, "train", failing_train)
+        monkeypatch.setenv("MCFS_THREADS", "2")
+        assert cli.main(run_args(tmp_path / "r")) == 1
+        assert "error: arm failed in a worker" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_zero_target_probability_finishes(self, tmp_path):
         # on this seed the target policy gives a sampled action probability
@@ -214,8 +290,7 @@ class TestBaselines:
     def test_names_and_sizes(self):
         ds, _ = data.synth_classification(120, 8, 3, seed=0)
         sp = data.split_dataset(ds, 0.8, seed=0)
-        table = cli.compare_baselines(sp, frozenset({1, 2}), seed=0,
-                                      n_trees=10)
+        table = baselines(sp, frozenset({1, 2}), seed=0, n_trees=10)
         assert set(table) == {"all_features", "kbest", "random", "selected"}
         assert table["all_features"]["subset"]["indices"] == list(range(8))
         assert len(table["kbest"]["subset"]["indices"]) == 4
@@ -230,21 +305,21 @@ class TestBaselines:
         x[:, 2] += 6.0 * y
         ds = data.Dataset(x, y, [f"f{i}" for i in range(6)], 2)
         sp = data.split_dataset(ds, 0.8, seed=1)
-        table = cli.compare_baselines(sp, frozenset({0}), seed=1)
+        table = baselines(sp, frozenset({0}), seed=1)
         assert table["all_features"]["metrics"]["accuracy"] >= 0.95
 
     def test_random_subset_deterministic_per_seed(self):
         ds, _ = data.synth_classification(100, 10, 3, seed=2)
         sp = data.split_dataset(ds, 0.8, seed=2)
-        a = cli.compare_baselines(sp, frozenset({0}), seed=7, n_trees=5)
-        b = cli.compare_baselines(sp, frozenset({0}), seed=7, n_trees=5)
+        a = baselines(sp, frozenset({0}), seed=7, n_trees=5)
+        b = baselines(sp, frozenset({0}), seed=7, n_trees=5)
         assert a["random"]["subset"] == b["random"]["subset"]
         assert a["random"]["metrics"] == b["random"]["metrics"]
 
     def test_empty_selection_gets_majority_metrics(self):
         ds, _ = data.synth_classification(90, 5, 2, seed=3)
         sp = data.split_dataset(ds, 0.8, seed=3)
-        table = cli.compare_baselines(sp, frozenset(), seed=3, n_trees=5)
+        table = baselines(sp, frozenset(), seed=3, n_trees=5)
         m = table["selected"]["metrics"]
         majority = np.bincount(sp.train.labels).argmax()
         share = float((sp.test.labels == majority).mean())
@@ -299,17 +374,11 @@ class TestSweep:
         assert ((tmp_path / "seq" / "summary.csv").read_bytes()
                 == (tmp_path / "par" / "summary.csv").read_bytes())
 
-    def test_pool_has_at_most_one_worker_per_arm(self, tmp_path,
-                                                 monkeypatch):
-        started = []
-
-        class SpyPool(concurrent.futures.ProcessPoolExecutor):
-            def shutdown(self, *args, **kwargs):
-                started.append(len(self._processes))
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SpyPool)
+    def test_pool_has_at_most_one_worker_per_task(self, tmp_path,
+                                                  monkeypatch, spy_pool):
+        # a fork-started pool starts every worker at once, so a worker
+        # beyond the queued tasks would fork only to sit idle: 2 arms and
+        # 3 reference fits make 5 tasks
         monkeypatch.setenv("MCFS_THREADS", "64")
         code = cli.main([
             "sweep", "--synthetic", "80,5,2", "--episodes", "3",
@@ -317,18 +386,10 @@ class TestSweep:
             "--out", str(tmp_path / "sw"),
         ])
         assert code == 0
-        assert started and started[0] == 2
+        assert spy_pool.started == [5]
 
-    def test_arms_queued_before_reference_fits(self, tmp_path, monkeypatch):
-        queued = []
-
-        class SpyPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                queued.append(fn.func.__name__)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SpyPool)
+    def test_arms_queued_before_reference_fits(self, tmp_path, monkeypatch,
+                                               spy_pool):
         monkeypatch.setenv("MCFS_THREADS", "2")
         code = cli.main([
             "sweep", "--synthetic", "80,5,2", "--episodes", "3",
@@ -336,7 +397,8 @@ class TestSweep:
             "--out", str(tmp_path / "sw"),
         ])
         assert code == 0
-        assert queued == ["_execute_run"] * 2 + ["_baseline_entry"] * 3
+        assert spy_pool.queued == (["_execute_run"] * 2
+                                   + ["_baseline_entry"] * 3)
 
     def test_reference_forests_fitted_once(self, tmp_path, monkeypatch):
         fits = []

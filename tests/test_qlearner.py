@@ -154,6 +154,21 @@ class TestTrainStep:
                 lr=0.01,
             )
 
+    @pytest.mark.parametrize("batch", [
+        # fractional actions passed the range check, then failed to index
+        (np.zeros((2, 2)), np.array([0.5, 1.0]), np.zeros(2)),
+        # boolean actions indexed the output as a mask and trained
+        (np.zeros((2, 2)), np.array([True, False]), np.zeros(2)),
+        # an extra state was dropped without a word
+        (np.zeros((3, 2)), np.array([0, 1]), np.zeros(2)),
+    ], ids=["fractional-actions", "boolean-actions", "length-mismatch"])
+    def test_rejects_malformed_batch_before_forward(self, batch):
+        net = make_net(2)
+        before = get_flat(net)
+        with pytest.raises(ValueError):
+            qlearner.train_step(net, batch, lr=0.01)
+        assert np.array_equal(get_flat(net), before)
+
     def test_returns_pre_update_loss(self):
         net = make_net(4, seed=8)
         batch = as_batch([(np.ones(4), 1, 2.0)])

@@ -9,6 +9,7 @@ import pytest
 
 from mcfs import cli, engine, reports
 from mcfs.rewards import RewardWeights
+from support import run_payload
 
 CONFIG_FIELDS = [f.name for f in fields(engine.TrainConfig)]
 
@@ -20,7 +21,7 @@ def payload():
     )
     ds, meta = cli._load_dataset(args)
     config = engine.TrainConfig(episodes=3, eval_trees=5, seed=3)
-    return cli._execute_run(ds, meta, config)
+    return run_payload(ds, meta, config)
 
 
 def assert_invalid(report):
