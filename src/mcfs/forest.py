@@ -14,6 +14,13 @@ whole level at a time, the cumulative counts, squares and scores of a
 100-tree fit on 1600 rows were ~10 MB arrays each; a block keeps them
 small enough to stay in the L2 cache.  A slot's counts, arithmetic and
 tie order do not depend on its block, so neither do the trees.
+
+Trees grow in batches whose largest per-level temporaries, the (units x
+candidates) int64 arrays of each unit's candidate codes and histogram
+keys, hold about ``_UNIT_BUDGET`` elements; a unit is a (tree, bootstrap
+row) pair, and a split has isqrt(columns) candidates.  So a fit's working
+set does not grow with the column count.  Trees do not depend on their
+batch either.
 """
 
 from __future__ import annotations
@@ -25,9 +32,12 @@ import numpy as np
 
 MAX_BINS = 32
 
-# level-wise growth and prediction touch units = trees * rows at once;
-# batches of trees keep the per-level scratch arrays bounded
-_UNIT_BUDGET = 60_000
+# elements per (units x candidates) temporary of a growing batch, or per
+# (trees x rows) walk array of a predicting batch: 65,536 int64 elements
+# are 512 KiB.  That holds 10 trees x 1280 rows x 5 candidates, so a
+# 10-tree reward fit on up to 35 columns is one batch; a flat 8,192
+# slowed such fits by a quarter
+_UNIT_BUDGET = 65_536
 
 # cells per split-scoring block: 128 KiB per int64 temporary fits in L2.
 # Blocks of 4,096 to 32,768 cells fitted equally fast; from 262,144 cells
@@ -261,7 +271,8 @@ def train_forest(train, subset, n_trees: int = 100, seed: int = 0,
     n_bins = int(nbins[cols].max())
 
     streams = np.random.SeedSequence(seed).spawn(n_trees)
-    batch = max(1, _UNIT_BUDGET // max(1, train.n_samples))
+    m = max(1, math.isqrt(cols.size))  # split candidates, as _best_splits
+    batch = max(1, _UNIT_BUDGET // (train.n_samples * m))
     parts = []
     n_nodes = 0
     for start in range(0, n_trees, batch):
@@ -306,11 +317,16 @@ def predict(model: ForestModel, ds) -> np.ndarray:
     if cols[-1] >= ds.n_features:
         raise ValueError("dataset has fewer columns than the model subset")
     n = ds.n_samples
-    codes = np.zeros((n, int(cols[-1]) + 1), dtype=np.uint8)
-    for c in cols:
-        codes[:, c] = np.searchsorted(
-            model.edges[int(c)], ds.features[:, c], side="left"
-        ).astype(np.uint8)
+    # codes hold the subset's columns only; node_col is each node's
+    # position in the subset, or -1 at a leaf
+    codes = np.empty((n, cols.size), dtype=np.uint8)
+    for j, c in enumerate(model.subset):
+        codes[:, j] = np.searchsorted(
+            model.edges[c], ds.features[:, c], side="left"
+        )
+    tested = model.feature >= 0
+    node_col = np.full(model.feature.size, -1, dtype=np.int64)
+    node_col[tested] = np.searchsorted(cols, model.feature[tested])
     C = model.n_classes
     votes = np.zeros(n * C, dtype=np.int64)
     batch = max(1, _UNIT_BUDGET // max(1, n))
@@ -320,7 +336,7 @@ def predict(model: ForestModel, ds) -> np.ndarray:
         row = np.tile(np.arange(n), roots.size)
         walk = np.arange(node.size)
         while True:
-            feat = model.feature[node[walk]]
+            feat = node_col[node[walk]]
             inner = feat >= 0
             walk = walk[inner]
             if walk.size == 0:

@@ -17,8 +17,6 @@ from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-import jsonschema
-
 from .engine import MODES, EpisodeStats, TrainConfig
 
 SCHEMA_VERSION = 2
@@ -179,6 +177,8 @@ def report_to_dict(run, feature_names, dataset, baselines) -> dict:
 
 
 def _finite_number(checker, instance) -> bool:
+    import jsonschema
+
     if isinstance(instance, float):
         return math.isfinite(instance)
     return jsonschema.Draft202012Validator.TYPE_CHECKER.is_type(
@@ -191,8 +191,12 @@ def _report_validator():
     """REPORT_SCHEMA's validator, built and checked once per process.
 
     A "number" must be finite: ``json.dumps`` would write NaN and
-    infinities as bare tokens that are not JSON.
+    infinities as bare tokens that are not JSON.  jsonschema is imported
+    here, not with the module, so its ~5 MB are not resident while forests
+    grow, and processes that never validate never load it.
     """
+    import jsonschema
+
     base = jsonschema.Draft202012Validator
     base.check_schema(REPORT_SCHEMA)
     cls = jsonschema.validators.extend(

@@ -64,10 +64,19 @@ class TestTrainForest:
     def test_batch_size_does_not_change_trees(self, monkeypatch):
         # growing trees one per batch must give the exact same forest
         ds = separable_dataset(120, seed=3)
+        grow = forest._grow_batch
+        batch_sizes = []
+
+        def spy(*args):
+            batch_sizes.append(len(args[5]))  # one rng per tree
+            return grow(*args)
+
+        monkeypatch.setattr(forest, "_grow_batch", spy)
         full = forest.train_forest(ds, [0, 1, 2, 3], n_trees=8, seed=9)
         pred = forest.predict(full, ds)
         monkeypatch.setattr(forest, "_UNIT_BUDGET", 1)
         single = forest.train_forest(ds, [0, 1, 2, 3], n_trees=8, seed=9)
+        assert batch_sizes == [8] + [1] * 8
         for name in NODE_FIELDS:
             assert_array_equal(getattr(full, name), getattr(single, name))
         # prediction walks one tree per batch here
@@ -168,7 +177,8 @@ def node_digest(model):
 # Forests grown by the per-node reference implementation this one
 # replaced: dataset, subset, seed, n_trees, max_depth, min_leaf, digest of
 # the node arrays in tree-local numbering, node count, and the predicted
-# classes of the test fold.  "wide" grows its 50 trees in two batches.
+# classes of the test fold.  At the default unit budget, "wide" grows its
+# 50 trees in three batches.
 GOLDEN = [
     ('bin', range(12), 0, 10, 12, 2, '68bb8eb33df60954', 500,
      '001100111110011001110000011100010011001000110000'),
@@ -219,7 +229,12 @@ class TestBinnedView:
 
 class TestGoldenForest:
     # one slot per scoring block, the default blocks, and one whole-level
-    # block must all grow the pinned forests
+    # block must all grow the pinned forests; so must one tree per batch,
+    # the default batches, and one batch for the whole forest
+    @pytest.mark.parametrize(
+        "unit_budget", [1, forest._UNIT_BUDGET, 10**9],
+        ids=["tree", "batch", "forest"],
+    )
     @pytest.mark.parametrize(
         "score_cells", [1, forest._SCORE_CELLS, 10**9],
         ids=["slot", "default", "level"],
@@ -231,8 +246,10 @@ class TestGoldenForest:
     )
     def test_same_forest_as_reference(self, name, subset, seed, n_trees,
                                       max_depth, min_leaf, digest, n_nodes,
-                                      predictions, score_cells, monkeypatch):
+                                      predictions, score_cells, unit_budget,
+                                      monkeypatch):
         monkeypatch.setattr(forest, "_SCORE_CELLS", score_cells)
+        monkeypatch.setattr(forest, "_UNIT_BUDGET", unit_budget)
         sp = golden_split(name)
         model = forest.train_forest(
             sp.train, subset, n_trees=n_trees, seed=seed,
@@ -306,18 +323,45 @@ class TestMetrics:
         assert d["confusion"] == [[3, 1], [0, 4]]
 
 
+def traced(call):
+    """``call()``'s result and the peak bytes tracemalloc saw meanwhile."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFitMemory:
-    def test_large_fit_peak_stays_bounded(self):
-        # a 100-tree reference fit on the wide shape's outer training fold
-        # (1600 rows, 60 columns); whole-level split scoring peaked at
-        # about 31 MiB here, blocked scoring at about 12 MiB
-        ds, _ = data.synth_classification(2000, 60, 10, seed=0)
+    @pytest.mark.parametrize("n_features", [60, 240])
+    def test_large_fit_peak_stays_bounded(self, n_features):
+        # a 100-tree reference fit on a wide shape's outer training fold
+        # (1600 rows).  Batches sized by rows alone peaked at 11.9 MiB on
+        # 60 columns and 21.0 MiB on 240, growing with the candidates per
+        # split; sized by rows times candidates, at 4.7 and 4.6 MiB
+        ds, _ = data.synth_classification(2000, n_features, 10, seed=0)
         train = data.split_dataset(ds, 0.8, seed=0).train
         train.derived(forest._binned)
-        tracemalloc.start()
-        try:
-            forest.train_forest(train, range(60), n_trees=100, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        _, peak = traced(lambda: forest.train_forest(
+            train, range(n_features), n_trees=100, seed=0))
+        assert peak < 8 * 2**20
+
+
+class TestPredictMemory:
+    def test_scratch_sized_by_subset(self):
+        # a one-column model on the last of 5000 columns: a code matrix as
+        # wide as the highest column id peaked at 10.7 MiB.  The same
+        # column alone grows the same trees, so predicts the same classes
+        rng = np.random.default_rng(3)
+        y = rng.integers(0, 2, size=2000)
+        col = (y + rng.normal(size=2000))[:, None]
+        alone = data.Dataset(col, y, ["f"], 2)
+        want = forest.predict(
+            forest.train_forest(alone, [0], n_trees=10, seed=0), alone)
+        x = np.zeros((2000, 5000))
+        x[:, -1:] = col
+        ds = data.Dataset(x, y, [f"f{i}" for i in range(5000)], 2)
+        model = forest.train_forest(ds, [4999], n_trees=10, seed=0)
+        got, peak = traced(lambda: forest.predict(model, ds))
+        assert peak < 2 * 2**20
+        assert_array_equal(got, want)

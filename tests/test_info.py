@@ -100,6 +100,28 @@ class TestCachedViews:
                     codes[min(i, j)], codes[max(i, j)]
                 )
 
+    def test_codes_are_bytes_with_unchanged_mi(self):
+        # one byte per cell; MI equals that of discretize's int64 codes,
+        # also for a column with the most integer levels kept as-is
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(300, 4))
+        x[:, 2] = rng.integers(0, info.MAX_INTEGER_LEVELS, size=300)
+        ds = data.Dataset(x, rng.integers(0, 3, size=300), list("abcd"), 3)
+        view = ds.derived(info._column_codes)
+        assert view.dtype == np.uint8
+        assert view.shape == (4, 300)
+        direct = [info.discretize(x[:, j]) for j in range(4)]
+        assert direct[2].max() == info.MAX_INTEGER_LEVELS - 1
+        for j in range(4):
+            assert_array_equal(view[j], direct[j])
+            assert info.feature_label_mi(ds)[j] == info.mutual_information(
+                direct[j], ds.labels
+            )
+            for i in range(j + 1):
+                assert info.pairwise_mi(ds, i, j) == info.mutual_information(
+                    direct[i], direct[j]
+                )
+
     def test_repeat_calls_identical(self):
         ds, _ = data.synth_classification(100, 4, 2, seed=7)
         a = info.feature_label_mi(ds).copy()

@@ -1,12 +1,19 @@
 """Report schema: the config and curves blocks follow the engine dataclasses."""
 
 import copy
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import jsonschema
 import pytest
 
+import mcfs
 from mcfs import cli, engine, reports
 from mcfs.rewards import RewardWeights
 from support import run_payload
@@ -169,3 +176,32 @@ def test_schema_checked_once(payload, monkeypatch):
     reports.validate_report(payload)
     reports.validate_report(payload)
     assert calls == [reports.REPORT_SCHEMA]
+
+
+def test_jsonschema_loaded_only_to_validate(payload, tmp_path):
+    # the CLI starts without jsonschema; the first report write loads it,
+    # and the finite-number check still holds
+    (tmp_path / "payload.json").write_text(json.dumps(payload))
+    script = textwrap.dedent("""
+        import json, sys
+        import mcfs.cli
+        assert "jsonschema" not in sys.modules
+        from mcfs import reports
+        payload = json.load(open("payload.json"))
+        reports.write_report_files(payload, "good")
+        assert "jsonschema" in sys.modules
+        import jsonschema
+        payload["curves"][0]["loss"] = float("nan")
+        try:
+            reports.write_report_files(payload, "bad")
+        except jsonschema.ValidationError:
+            print("rejected")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(mcfs.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "rejected\n"
+    assert (tmp_path / "good" / "report.json").exists()
+    assert not (tmp_path / "bad").exists()
