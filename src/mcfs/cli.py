@@ -36,6 +36,9 @@ from .rewards import RewardWeights
 
 TRAIN_RATIO = 0.8
 FINAL_TREES = 100
+# the outer training fold, round(TRAIN_RATIO * n) rows, is split again and
+# so needs two rows; fewer than 3 rows leave it one
+MIN_ROWS = 3
 
 # each config flag and the TrainConfig field it sets; the field's default,
 # type hint and range check are the flag's
@@ -49,13 +52,10 @@ CONFIG_FLAGS = {
     "--seed": "seed",
     "--return-mode": "return_mode",
     "--behavior": "behavior_mode",
-    "--state-repr": "state_mode",
     "--utility": "utility_mode",
     "--weights": "weights",
 }
 _FIELD_TYPES = get_type_hints(engine.TrainConfig)
-
-_STATE_FLAGS = {"meta": "meta", "ae": "autoencoder"}
 
 SWEEP_PARAMS = {
     "stop-threshold": "stop_threshold",
@@ -106,11 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = engine.TrainConfig()
     for flag, name in CONFIG_FLAGS.items():
         default = getattr(defaults, name)
-        if name == "state_mode":
-            spelling = {mode: key for key, mode in _STATE_FLAGS.items()}
-            kind = {"choices": sorted(_STATE_FLAGS),
-                    "default": spelling[default]}
-        elif name in engine.MODES:
+        if name in engine.MODES:
             kind = {"choices": engine.MODES[name], "default": default}
         elif name == "weights":
             kind = {"type": _weights_spec, "metavar": "WACC,WRV,WRD",
@@ -141,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args, parser) -> engine.TrainConfig:
     values = {name: getattr(args, name) for name in CONFIG_FLAGS.values()}
-    values["state_mode"] = _STATE_FLAGS[values["state_mode"]]
     try:
         return engine.TrainConfig(**values)
     except ValueError as exc:
@@ -159,6 +154,11 @@ def _load_dataset(args):
             "source": f"synthetic({n},{d},{k})",
             "informative": sorted(informative),
         }
+    if ds.n_samples < MIN_ROWS:
+        raise data.DataError(
+            f"{meta['source']} has {ds.n_samples} rows; a run needs at "
+            f"least {MIN_ROWS}, because its training fold is split again"
+        )
     meta.update(
         n_samples=ds.n_samples,
         n_features=ds.n_features,

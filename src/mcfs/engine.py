@@ -38,7 +38,6 @@ BEHAVIOR_MODES = ("greedy", "random")
 MODES = {
     "return_mode": RETURN_MODES,
     "behavior_mode": BEHAVIOR_MODES,
-    "state_mode": state_repr.STATE_MODES,
     "utility_mode": UTILITY_MODES,
 }
 
@@ -68,12 +67,11 @@ class Episode:
 class TrainConfig:
     """Everything a run needs.
 
-    The four mode fields pick alternate forms (allowed values in ``MODES``):
+    The three mode fields pick alternate forms (allowed values in ``MODES``):
     ``return_mode='reversed'`` accumulates past rewards instead of future
     ones, ``behavior_mode='random'`` explores with a fair coin instead of
-    epsilon-greedy, ``state_mode`` picks how a subset is described (see
-    ``state.make_represent``), and ``utility_mode`` picks the advice
-    potential.  Each default is the standard form.
+    epsilon-greedy, and ``utility_mode`` picks the advice potential.  Each
+    default is the standard form.
     """
 
     episodes: int = 300
@@ -89,7 +87,6 @@ class TrainConfig:
     updates_per_episode: int = 4
     return_mode: str = "forward"
     behavior_mode: str = "greedy"
-    state_mode: str = "meta"
     utility_mode: str = "rvrd"
     weights: RewardWeights = field(default_factory=RewardWeights)
     eval_trees: int = 10
@@ -285,13 +282,11 @@ class _Trainer:
         self.split = split
         self.config = config
         n = split.train.n_features
-        net_ss, behavior_ss, replay_ss, ae_ss = (
-            np.random.SeedSequence(config.seed).spawn(4)
+        net_ss, behavior_ss, replay_ss = (
+            np.random.SeedSequence(config.seed).spawn(3)
         )
-        self.represent = state_repr.make_represent(
-            split.train, config.state_mode,
-            seed=int(ae_ss.generate_state(1)[0]),
-        )
+        self.represent = lambda subset: state_repr.meta_stats(split.train,
+                                                              subset)
         state_dim = self.represent(frozenset()).size
         self.qnet = qlearner.q_network(state_dim, seed=net_ss)
         self.behavior_rng = np.random.default_rng(behavior_ss)

@@ -99,13 +99,8 @@ def pairwise_mi(ds, i: int, j: int) -> float:
     return table[i, j]
 
 
-def kbest_select(ds, k: int | None = None) -> list[int]:
-    """Indices of the k columns with highest label MI, ties to lower index.
-
-    Default k is half the feature count (rounded down, at least one).
-    """
-    if k is None:
-        k = max(1, ds.n_features // 2)
+def kbest_select(ds, k: int) -> list[int]:
+    """Indices of the k columns with highest label MI, ties to lower index."""
     if not 1 <= k <= ds.n_features:
         raise ValueError(f"k must be in [1, {ds.n_features}], got {k}")
     mi = feature_label_mi(ds)

@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 from .engine import MODES, EpisodeStats, TrainConfig
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CURVE_COLUMNS = tuple(f.name for f in fields(EpisodeStats))
 

@@ -24,6 +24,13 @@ def no_data(args):
     raise AssertionError("data loaded before the flags were checked")
 
 
+def run_option(dest):
+    """The ``mcfs run`` argparse action that sets ``dest``."""
+    run_p = cli.build_parser()._subparsers._group_actions[0].choices["run"]
+    [action] = [a for a in run_p._actions if a.dest == dest]
+    return action
+
+
 def stripped_report(out_dir):
     payload = json.loads((Path(out_dir) / "report.json").read_text())
     payload.pop("total_wall_ms")
@@ -132,25 +139,32 @@ class TestFlagParsing:
         parser = cli.build_parser()
         args = parser.parse_args([
             "run", "--synthetic", "40,4,2", "--return-mode", "reversed",
-            "--state-repr", "ae", "--behavior", "random", "--utility", "rv",
+            "--behavior", "random", "--utility", "rv",
         ])
         cfg = cli._config_from_args(args, parser)
         assert cfg.return_mode == "reversed"
-        assert cfg.state_mode == "autoencoder"
         assert cfg.behavior_mode == "random"
         assert cfg.utility_mode == "rv"
-        # the removed weight-recalculation switch is a usage error
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["run", "--synthetic", "40,4,2",
-                               "--recalc-mode", "rc"])
-        assert exc.value.code == 2
+        # the removed weight-recalculation and state switches are usage
+        # errors
+        for removed in (["--recalc-mode", "rc"], ["--state-repr", "ae"],
+                        ["--state-repr", "meta"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["run", "--synthetic", "40,4,2",
+                                   *removed])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", sorted(engine.MODES))
+    def test_mode_flag_offers_the_field_values(self, name):
+        action = run_option(name)
+        assert tuple(action.choices) == engine.MODES[name]
+        assert action.default == getattr(engine.TrainConfig(), name)
 
     def test_default_modes(self):
         parser = cli.build_parser()
         args = parser.parse_args(["run", "--synthetic", "40,4,2"])
         cfg = cli._config_from_args(args, parser)
         assert cfg.return_mode == "forward"
-        assert cfg.state_mode == "meta"
         assert cfg == engine.TrainConfig()
 
 
@@ -270,6 +284,17 @@ class TestRunCommand:
         assert code == 1
         assert "1e+100" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_two_row_csv_exits_1_with_the_minimum(self, tmp_path, capsys):
+        # it loads, but its one-row training fold cannot be split again
+        small = tmp_path / "small.csv"
+        small.write_text("a,b,label\n1,2,0\n3,4,1\n")
+        code = cli.main(["run", "--data", str(small), "--episodes", "3",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "has 2 rows" in err and f"at least {cli.MIN_ROWS}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = cli.main(["run", "--data", str(tmp_path / "no.csv"),

@@ -474,19 +474,6 @@ class TestTrainLoop:
         # the budget check runs between episodes, so one may overshoot
         assert rep.total_steps <= 30 + 6
 
-    def test_one_autoencoder_per_run(self, monkeypatch):
-        calls = []
-        train_autoencoder = state.train_autoencoder
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return train_autoencoder(*args, **kwargs)
-
-        monkeypatch.setattr(state, "train_autoencoder", counting)
-        engine.train(small_split(),
-                     quick_config(episodes=3, state_mode="autoencoder"))
-        assert len(calls) == 1
-
     def test_reranking_moves_skipped_features_forward(self):
         sp = small_split()
         cfg = quick_config(episodes=20, stop_threshold=0.9, epsilon=0.3)
@@ -513,10 +500,11 @@ GOLDEN_RUNS = {
         [6] * 12, "ee16a7bb4a527779",
         (1, 3, 5), (0, 1, 2, 3, 4, 5), (12,) * 6,
     ),
-    "autoencoder_reversed": (
-        dict(state_mode="autoencoder", return_mode="reversed"),
-        [3, 2, 3, 6, 3, 6, 2, 3, 2, 4, 4, 6], "cf8ffce74d3dc860",
-        (2, 3), (), (8, 8, 7, 7, 7, 7),
+    # pinned on the commit before the autoencoder state was deleted
+    "reversed": (
+        dict(return_mode="reversed"),
+        [3, 2, 3, 6, 4, 6, 2, 2, 2, 4, 4, 4], "450a1a43ebbef669",
+        (0, 1, 2, 4, 5), (), (7,) * 6,
     ),
     # the window closes at step 3 of the third episode
     "advice_ends_mid_episode": (
@@ -542,7 +530,8 @@ class TestGoldenRuns:
 
 
 def meta_represent():
-    return state.make_represent(small_split().train, "meta")
+    train = small_split().train
+    return lambda subset: state.meta_stats(train, subset)
 
 
 class TestFinalSelection:

@@ -149,9 +149,9 @@ class TestKBest:
         )
         assert info.kbest_select(ds, 1) == [0]
 
-    def test_default_k_is_half(self):
+    def test_returns_k_columns(self):
         ds, _ = data.synth_classification(80, 9, 3, seed=9)
-        assert len(info.kbest_select(ds)) == 4
+        assert len(info.kbest_select(ds, 4)) == 4
 
     def test_result_sorted_and_valid(self):
         ds, _ = data.synth_classification(80, 7, 3, seed=10)

@@ -125,7 +125,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("sizes", [[49, 64, 8, 2], [12, 128, 32, 128, 12]])
     def test_matches_per_parameter_loop(self, sizes):
-        # the Q-net shape and an autoencoder shape
+        # the Q-net shape and a deeper, wider one
         net = nn.MLP(sizes, seed=4)
         ref = ListAdam(net.weights + net.biases)
         rng = np.random.default_rng(6)

@@ -38,7 +38,7 @@ def assert_invalid(report):
 
 def test_run_report_validates(payload):
     reports.validate_report(payload)
-    assert payload["schema_version"] == reports.SCHEMA_VERSION == 2
+    assert payload["schema_version"] == reports.SCHEMA_VERSION == 3
 
 
 def test_config_block_rebuilds_the_run_config(payload):
@@ -138,6 +138,19 @@ def test_version_1_report_fails(payload):
     old["schema_version"] = 1
     old["config"]["recalc_mode"] = "rejection_control"
     assert_invalid(old)
+
+
+def test_version_2_report_fails_to_load(payload, tmp_path):
+    # v2 reports carry config.state_mode, which v3 dropped; the field is
+    # rejected on its own too, not only through the version
+    old = copy.deepcopy(payload)
+    old["config"]["state_mode"] = "meta"
+    path = tmp_path / "report.json"
+    for version in (2, reports.SCHEMA_VERSION):
+        old["schema_version"] = version
+        path.write_text(json.dumps(old))
+        with pytest.raises(jsonschema.ValidationError):
+            reports.load_report(path)
 
 
 @pytest.mark.parametrize("edit", [

@@ -1,6 +1,4 @@
-"""State vectors: descriptive statistics and the autoencoder bottleneck."""
-
-import re
+"""State vectors: descriptive statistics of the selected columns."""
 
 import numpy as np
 import pytest
@@ -88,65 +86,3 @@ class TestSevenStats:
             assert got.shape == (7, d)
             assert np.array_equal(got, percentile_seven(ds.features.T))
 
-
-class TestSubsetMeanVector:
-    def test_zero_padding(self):
-        ds = toy_dataset(d=5)
-        v = state.subset_mean_vector(ds, {1, 3})
-        means = ds.features.mean(axis=0)
-        assert v.shape == (5,)
-        assert_allclose(v[[1, 3]], means[[1, 3]])
-        assert_allclose(v[[0, 2, 4]], 0.0)
-
-    def test_empty_all_zero(self):
-        ds = toy_dataset(d=5)
-        assert_allclose(state.subset_mean_vector(ds, set()), np.zeros(5))
-
-
-class TestAutoencoder:
-    def test_training_reduces_loss(self):
-        ds = toy_dataset(d=8, seed=2)
-        ae, losses = state.train_autoencoder(ds, seed=0, epochs=40)
-        assert losses[-1] < losses[0]
-
-    def test_latent_width(self):
-        ds = toy_dataset(d=8, seed=3)
-        ae, _ = state.train_autoencoder(ds, seed=1, epochs=5)
-        z = state.autoencode_state(ae, ds, {0, 3, 5})
-        assert z.shape == (32,)
-        assert np.isfinite(z).all()
-        assert np.all(z >= 0.0)  # bottleneck sits behind a ReLU
-
-    def test_encoding_deterministic(self):
-        ds = toy_dataset(d=6, seed=4)
-        ae1, _ = state.train_autoencoder(ds, seed=9, epochs=10)
-        ae2, _ = state.train_autoencoder(ds, seed=9, epochs=10)
-        z1 = state.autoencode_state(ae1, ds, {1, 2})
-        z2 = state.autoencode_state(ae2, ds, {1, 2})
-        assert_allclose(z1, z2)
-
-    def test_distinguishes_subsets(self):
-        ds = toy_dataset(d=8, seed=5)
-        ae, _ = state.train_autoencoder(ds, seed=2, epochs=40)
-        z_a = state.autoencode_state(ae, ds, {0, 1})
-        z_b = state.autoencode_state(ae, ds, {6, 7})
-        assert not np.allclose(z_a, z_b)
-
-
-class TestMakeRepresent:
-    def test_meta_is_meta_stats(self):
-        ds = toy_dataset()
-        represent = state.make_represent(ds, "meta")
-        assert_allclose(represent({1, 4}), state.meta_stats(ds, {1, 4}))
-
-    def test_autoencoder_is_the_seeded_bottleneck(self):
-        ds = toy_dataset(d=8, seed=6)
-        represent = state.make_represent(ds, "autoencoder", seed=5)
-        ae, _ = state.train_autoencoder(ds, seed=5)
-        assert_allclose(represent({0, 3}),
-                        state.autoencode_state(ae, ds, {0, 3}), rtol=0)
-
-    def test_unknown_mode_names_the_modes(self):
-        modes = re.escape(str(state.STATE_MODES))
-        with pytest.raises(ValueError, match=modes):
-            state.make_represent(toy_dataset(), "bogus")
