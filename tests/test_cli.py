@@ -296,6 +296,16 @@ class TestRunCommand:
         assert "has 2 rows" in err and f"at least {cli.MIN_ROWS}" in err
         assert not (tmp_path / "o").exists()
 
+    def test_three_row_csv_is_the_least_that_runs(self, tmp_path):
+        small = tmp_path / "small.csv"
+        small.write_text("a,b,label\n1,2,0\n3,4,1\n5,1,0\n")
+        out = tmp_path / "o"
+        code = cli.main(["run", "--data", str(small), "--episodes", "3",
+                         "--out", str(out)])
+        assert code == 0
+        payload = reports.load_report(out / "report.json")
+        assert payload["dataset"]["n_samples"] == cli.MIN_ROWS
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = cli.main(["run", "--data", str(tmp_path / "no.csv"),
                          "--out", str(tmp_path / "o")])
@@ -321,6 +331,16 @@ class TestBaselines:
         assert len(table["kbest"]["subset"]["indices"]) == 4
         assert len(table["random"]["subset"]["indices"]) == 4
         assert table["selected"]["subset"]["indices"] == [1, 2]
+
+    @pytest.mark.parametrize("d, half", [(1, 1), (2, 1), (9, 4)])
+    def test_reference_subsets_take_half_the_features(self, d, half):
+        ds, _ = data.synth_classification(60, d, 1, seed=d)
+        subsets = cli.reference_subsets(ds, seed=0)
+        assert subsets["all_features"] == list(range(d))
+        for name in ("kbest", "random"):
+            picked = [int(j) for j in subsets[name]]
+            assert len(set(picked)) == len(picked) == half
+            assert all(0 <= j < d for j in picked)
 
     def test_all_features_strong_on_separable_data(self):
         # axis-separable blobs: one clean split per class

@@ -36,6 +36,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=name):
             engine.TrainConfig(**{name: value})
 
+    def test_state_mode_is_not_a_field(self):
+        # the autoencoder state was deleted with its switch
+        assert "state_mode" not in engine.MODES
+        with pytest.raises(TypeError):
+            engine.TrainConfig(state_mode="meta")
+
 
 def stop_chance(importance, stop_threshold):
     """The walk's stop rule: the complement of the survival probability."""
@@ -473,6 +479,31 @@ class TestTrainLoop:
         assert rep.episodes_completed < 200
         # the budget check runs between episodes, so one may overshoot
         assert rep.total_steps <= 30 + 6
+
+    def test_state_is_the_training_folds_meta_stats(self):
+        sp = small_split()
+        tr = engine._Trainer(sp, quick_config())
+        for subset in (frozenset(), frozenset({0}), frozenset({1, 3, 5})):
+            assert_array_equal(tr.represent(subset),
+                               state.meta_stats(sp.train, subset))
+
+    def test_state_function_looked_up_per_call(self, monkeypatch):
+        # a wrapper installed after the trainer is built still sees every
+        # state, as a call-counting probe needs
+        sp = small_split()
+        tr = engine._Trainer(sp, quick_config())
+        seen = []
+        meta_stats = state.meta_stats
+
+        def counting(ds, subset):
+            seen.append(ds)
+            return meta_stats(ds, subset)
+
+        monkeypatch.setattr(state, "meta_stats", counting)
+        tr.represent(frozenset({2}))
+        engine.train(sp, quick_config(episodes=3))
+        assert len(seen) > 1
+        assert all(ds is sp.train for ds in seen)
 
     def test_reranking_moves_skipped_features_forward(self):
         sp = small_split()

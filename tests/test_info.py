@@ -153,6 +153,12 @@ class TestKBest:
         ds, _ = data.synth_classification(80, 9, 3, seed=9)
         assert len(info.kbest_select(ds, 4)) == 4
 
+    def test_k_is_required(self):
+        # the half-size rule lives in cli.reference_subsets alone
+        ds, _ = data.synth_classification(80, 9, 3, seed=9)
+        with pytest.raises(TypeError):
+            info.kbest_select(ds)
+
     def test_result_sorted_and_valid(self):
         ds, _ = data.synth_classification(80, 7, 3, seed=10)
         sel = info.kbest_select(ds, 3)

@@ -60,6 +60,31 @@ class TestMetaStats:
         with pytest.raises(ValueError):
             state.meta_stats(ds, {7})
 
+    def test_rejects_negative_column(self):
+        ds = toy_dataset(d=4)
+        with pytest.raises(ValueError):
+            state.meta_stats(ds, [-1, 2])
+
+    def test_repeated_ids_count_once(self):
+        ds = toy_dataset()
+        assert_allclose(
+            state.meta_stats(ds, [1, 3, 1, 3]), state.meta_stats(ds, {1, 3})
+        )
+
+    def test_column_stats_built_once_per_dataset(self, monkeypatch):
+        built = []
+        column_stats = state._column_stats
+
+        def counting(ds):
+            built.append(ds)
+            return column_stats(ds)
+
+        monkeypatch.setattr(state, "_column_stats", counting)
+        ds = toy_dataset()
+        for subset in ({0}, {1, 2}, {0, 3, 5}):
+            state.meta_stats(ds, subset)
+        assert built == [ds]
+
 
 class TestSevenStats:
     """The sorted-row statistics equal the ``np.percentile`` form bit for
