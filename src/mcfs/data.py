@@ -13,10 +13,12 @@ class DataError(ValueError):
 
 
 # largest feature magnitude a dataset accepts.  The forests and the MI
-# estimators bin by quantiles and never see raw magnitudes, but the meta
-# state squares deviations of the raw values: near 1e154 those squares
-# overflow, and the run would train on NaN states and write NaN losses
-MAX_ABS_FEATURE = 1e100
+# estimators bin by quantiles and never see raw magnitudes, but the Q-net
+# learns on the raw state.  Its gradient g grows like s**2 in the magnitude
+# s, so the first overflow is Adam's square of g, near s = 1e77: the second
+# moment turns inf and the net stops learning.  At 1e50, g**2 stays near
+# 1e200, about 1e100 below the float limit
+MAX_ABS_FEATURE = 1e50
 
 
 @dataclass(eq=False)

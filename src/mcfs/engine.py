@@ -193,8 +193,7 @@ def recalc_weights(importance, survival, survival_mean: float) -> np.ndarray:
                      out=np.zeros(imp.shape), where=imp > 0)
 
 
-def compute_returns(rewards, gamma: float,
-                    mode: str = "forward") -> np.ndarray:
+def compute_returns(rewards, gamma: float, mode: str) -> np.ndarray:
     """Per-step returns from an episode's per-step rewards.
 
     forward: discounted sum of this and later rewards.  reversed:

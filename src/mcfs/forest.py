@@ -248,7 +248,7 @@ def _best_splits(codes_sub, hist, sizes, split, act_tree, u_row, u_y, u_slot,
     return split[gain], cand[gain, j_best[gain]], b_best[gain]
 
 
-def train_forest(train, subset, n_trees: int = 100, seed: int = 0,
+def train_forest(train, subset, n_trees: int, seed: int = 0,
                  max_depth: int = 12, min_leaf: int = 2) -> ForestModel:
     """Fit a bagged CART forest on the given feature columns.
 

@@ -9,16 +9,16 @@ from __future__ import annotations
 import numpy as np
 
 MAX_INTEGER_LEVELS = 32
-DEFAULT_BINS = 10
+N_BINS = 10
 
 
-def discretize(values: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
+def discretize(values: np.ndarray) -> np.ndarray:
     """Map a numeric column to small integer codes.
 
     Integer-valued columns with at most MAX_INTEGER_LEVELS distinct values
     are used as-is (each level one code).  Anything else gets equal-frequency
-    binning with the requested number of bins; duplicated quantiles collapse,
-    so fewer bins may come back.
+    binning into N_BINS bins; duplicated quantiles collapse, so fewer bins
+    may come back.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -26,9 +26,7 @@ def discretize(values: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
     uniq = np.unique(values)
     if uniq.size <= MAX_INTEGER_LEVELS and np.all(uniq == np.round(uniq)):
         return np.searchsorted(uniq, values).astype(np.int64)
-    if bins < 2:
-        raise ValueError("need at least two bins")
-    qs = np.arange(1, bins) / bins
+    qs = np.arange(1, N_BINS) / N_BINS
     edges = np.unique(np.quantile(values, qs))
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 

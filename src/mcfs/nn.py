@@ -87,10 +87,3 @@ class MLP:
         mhat = m / (1 - ADAM_BETA1 ** t)
         vhat = v / (1 - ADAM_BETA2 ** t)
         self.params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-
-
-def mse_loss_grad(out: np.ndarray, target: np.ndarray):
-    """Mean squared error over every output entry, and d(loss)/d(out)."""
-    err = out - target
-    loss = float(np.mean(np.square(err)))
-    return loss, 2.0 * err / err.size

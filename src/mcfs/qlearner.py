@@ -141,6 +141,3 @@ class ReplayMemory:
         idx = rng.choice(self._size, size=k, replace=False)
         rows = (idx + (self._head - self._size)) % self.capacity
         return self.states[rows], self.actions[rows], self.targets[rows]
-
-    def __len__(self) -> int:
-        return self._size

@@ -58,8 +58,8 @@ def redundancy(subset, ds) -> float:
     return total / pairs
 
 
-def utility(subset, ds, mode: str = "rvrd") -> float:
-    """Advice potential of a subset: relevance minus redundancy by default."""
+def utility(subset, ds, mode: str) -> float:
+    """Advice potential of a subset: relevance, redundancy, or rv - rd."""
     if mode not in UTILITY_MODES:
         raise ValueError(f"utility mode must be one of {UTILITY_MODES}")
     if mode == "rv":
@@ -75,7 +75,7 @@ def _subset_seed(seed: int, cols) -> np.random.SeedSequence:
 
 
 def eval_reward(subset, split, weights: RewardWeights, seed: int,
-                n_trees: int = 100) -> float:
+                n_trees: int) -> float:
     """Score a subset: held-out forest accuracy plus information terms.
 
     The forest trains on the split's train fold and scores on its test

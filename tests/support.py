@@ -1,4 +1,5 @@
-"""Helpers that only the tests need: flat parameter views of an MLP, a CSV
+"""Helpers that only the tests need: flat parameter views of an MLP, a mean
+squared error loss and its gradient for checking MLP gradients, a CSV
 writer for datasets, the report payload of one run, the entropy of a code
 sequence, and the plain forms that the fast state statistics, Adam step,
 replay ring, stop rule, weight recalculation and returns are pinned
@@ -27,6 +28,13 @@ def set_flat(net, flat: np.ndarray) -> None:
 def flat_grads(grads) -> np.ndarray:
     """``MLP.backward`` gradients laid out as ``get_flat``."""
     return np.concatenate([g.ravel() for g in grads])
+
+
+def mse_loss_grad(out: np.ndarray, target: np.ndarray):
+    """Mean squared error over every output entry, and d(loss)/d(out)."""
+    err = out - target
+    loss = float(np.mean(np.square(err)))
+    return loss, 2.0 * err / err.size
 
 
 def write_csv(ds, path, label_col: str = "label") -> None:

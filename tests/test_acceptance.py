@@ -16,7 +16,8 @@ import pytest
 
 from mcfs import cli, data, engine, nn, qlearner
 from tabular_oracle import TabularMDP, check_invariance
-from support import flat_grads, get_flat, run_payload, set_flat
+from support import (flat_grads, get_flat, mse_loss_grad, run_payload,
+                     set_flat)
 
 
 def verdict(num, name, ok, detail=""):
@@ -132,7 +133,7 @@ class TestC4GradientCorrectness:
             target = rng.normal(size=(batch, sizes[-1]))
 
             out, cache = net.forward(x)
-            _, dout = nn.mse_loss_grad(out, target)
+            _, dout = mse_loss_grad(out, target)
             flat = flat_grads(net.backward(cache, dout))
 
             base = get_flat(net)
@@ -142,10 +143,10 @@ class TestC4GradientCorrectness:
                 probe = base.copy()
                 probe[i] = base[i] + h
                 set_flat(net, probe)
-                lo_p, _ = nn.mse_loss_grad(net.forward(x)[0], target)
+                lo_p, _ = mse_loss_grad(net.forward(x)[0], target)
                 probe[i] = base[i] - h
                 set_flat(net, probe)
-                lo_m, _ = nn.mse_loss_grad(net.forward(x)[0], target)
+                lo_m, _ = mse_loss_grad(net.forward(x)[0], target)
                 fd[i] = (lo_p - lo_m) / (2 * h)
             set_flat(net, base)
 
@@ -342,7 +343,7 @@ class TestC9EngineInvariants:
         class SpyMemory(qlearner.ReplayMemory):
             def push(self, *args):
                 super().push(*args)
-                sizes.append(len(self))
+                sizes.append(self._size)
 
         monkeypatch.setattr(engine.qlearner, "ReplayMemory", SpyMemory)
         ds, _ = data.synth_classification(120, 8, 3, seed=11)

@@ -31,6 +31,16 @@ def run_option(dest):
     return action
 
 
+def write_scaled_csv(ds, path, largest: float) -> None:
+    """Write ``ds`` to CSV with its features scaled so that their largest
+    magnitude is ``largest``."""
+    scale = largest / np.abs(ds.features).max()
+    write_csv(SimpleNamespace(
+        feature_names=ds.feature_names, n_samples=ds.n_samples,
+        features=ds.features * scale, labels=ds.labels,
+    ), path)
+
+
 def stripped_report(out_dir):
     payload = json.loads((Path(out_dir) / "report.json").read_text())
     payload.pop("total_wall_ms")
@@ -266,14 +276,9 @@ class TestRunCommand:
     def test_huge_feature_values_exit_1_before_training(self, tmp_path,
                                                           monkeypatch,
                                                           capsys):
-        # at this scale the meta state overflowed and the run wrote NaN
         ds, _ = data.synth_classification(60, 4, 2, seed=9)
-        scaled = SimpleNamespace(
-            feature_names=ds.feature_names, n_samples=ds.n_samples,
-            features=ds.features * 1e160, labels=ds.labels,
-        )
         csv_path = tmp_path / "ds.csv"
-        write_csv(scaled, csv_path)
+        write_scaled_csv(ds, csv_path, 1.01 * data.MAX_ABS_FEATURE)
 
         def no_training(*args):
             raise AssertionError("training started on out-of-bound data")
@@ -282,8 +287,21 @@ class TestRunCommand:
         code = cli.main(["run", "--data", str(csv_path), "--episodes", "3",
                          "--out", str(tmp_path / "r")])
         assert code == 1
-        assert "1e+100" in capsys.readouterr().err
+        assert f"{data.MAX_ABS_FEATURE:g}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_features_below_the_cap_train_without_overflow(self, tmp_path):
+        # pytest turns numpy's overflow warnings into errors, so an overflow
+        # in the Q-net's Adam step fails this run
+        ds, _ = data.synth_classification(60, 6, 2, seed=1)
+        csv_path = tmp_path / "ds.csv"
+        write_scaled_csv(ds, csv_path, 0.9 * data.MAX_ABS_FEATURE)
+        out = tmp_path / "r"
+        code = cli.main(["run", "--data", str(csv_path), "--episodes", "60",
+                         "--seed", "1", "--out", str(out)])
+        assert code == 0
+        payload = reports.load_report(out / "report.json")
+        assert max(c["loss"] for c in payload["curves"]) < 1e300
 
     def test_two_row_csv_exits_1_with_the_minimum(self, tmp_path, capsys):
         # it loads, but its one-row training fold cannot be split again

@@ -20,7 +20,7 @@ class TestDiscretize:
     def test_continuous_quantile_codes(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=500)
-        codes = info.discretize(vals, bins=10)
+        codes = info.discretize(vals)
         assert codes.min() >= 0
         assert len(np.unique(codes)) <= 10
         # equal-frequency bins should be roughly balanced

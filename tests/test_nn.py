@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import nn
-from support import ListAdam, flat_grads, get_flat, set_flat
+from support import ListAdam, flat_grads, get_flat, mse_loss_grad, set_flat
 
 
 def finite_difference_grads(net, x, target, h=1e-6):
@@ -17,11 +17,11 @@ def finite_difference_grads(net, x, target, h=1e-6):
         probe[i] = base[i] + h
         set_flat(net, probe)
         out, _ = net.forward(x)
-        lo_plus, _ = nn.mse_loss_grad(out, target)
+        lo_plus, _ = mse_loss_grad(out, target)
         probe[i] = base[i] - h
         set_flat(net, probe)
         out, _ = net.forward(x)
-        lo_minus, _ = nn.mse_loss_grad(out, target)
+        lo_minus, _ = mse_loss_grad(out, target)
         grads[i] = (lo_plus - lo_minus) / (2 * h)
     set_flat(net, base)
     return grads
@@ -80,7 +80,7 @@ class TestGradients:
             x = rng.normal(size=(3, sizes[0]))
             target = rng.normal(size=(3, sizes[-1]))
             out, cache = net.forward(x)
-            _, dout = nn.mse_loss_grad(out, target)
+            _, dout = mse_loss_grad(out, target)
             grads = net.backward(cache, dout)
             flat = flat_grads(grads)
             fd = finite_difference_grads(net, x, target)
@@ -90,7 +90,7 @@ class TestGradients:
     def test_mse_loss_grad_formula(self):
         out = np.array([[1.0, 2.0], [3.0, 4.0]])
         target = np.array([[0.0, 2.0], [2.0, 6.0]])
-        loss, grad = nn.mse_loss_grad(out, target)
+        loss, grad = mse_loss_grad(out, target)
         err = out - target
         assert_allclose(loss, np.mean(err ** 2), rtol=1e-12)
         assert_allclose(grad, 2 * err / err.size, rtol=1e-12)
@@ -105,7 +105,7 @@ class TestAdam:
         losses = []
         for _ in range(300):
             out, cache = net.forward(x)
-            loss, dout = nn.mse_loss_grad(out, target)
+            loss, dout = mse_loss_grad(out, target)
             net.adam_step(net.backward(cache, dout), lr=0.01)
             losses.append(loss)
         assert losses[-1] < 0.05 * losses[0]
@@ -117,7 +117,7 @@ class TestAdam:
             t = np.array([[1.0], [0.0]])
             for _ in range(10):
                 out, cache = net.forward(x)
-                _, dout = nn.mse_loss_grad(out, t)
+                _, dout = mse_loss_grad(out, t)
                 net.adam_step(net.backward(cache, dout), lr=0.05)
             return get_flat(net)
 
@@ -133,7 +133,7 @@ class TestAdam:
             x = rng.normal(size=(16, sizes[0]))
             target = rng.normal(size=(16, sizes[-1]))
             out, cache = net.forward(x)
-            _, dout = nn.mse_loss_grad(out, target)
+            _, dout = mse_loss_grad(out, target)
             grads = net.backward(cache, dout)
             net.adam_step(grads, lr=0.01)
             ref.step(grads, lr=0.01)

@@ -182,9 +182,9 @@ class TestReplayMemory:
         mem = qlearner.ReplayMemory(capacity=3)
         for i in range(5):
             mem.push(np.array([float(i)]), 0, float(i))
-        assert len(mem) == 3
         rng = np.random.default_rng(0)
-        states, _, _ = mem.sample(rng, 3)
+        states, _, _ = mem.sample(rng, 5)
+        assert len(states) == 3
         kept = {int(s[0]) for s in states}
         assert kept == {2, 3, 4}
 

@@ -98,7 +98,8 @@ class TestEvalReward:
         ds = labeled_dataset()
         sp = data.split_dataset(ds, 0.8, seed=0)
         w = rewards.RewardWeights()
-        assert rewards.eval_reward(frozenset(), sp, w, seed=0) == 0.0
+        score = rewards.eval_reward(frozenset(), sp, w, seed=0, n_trees=10)
+        assert score == 0.0
 
     def test_decomposes_into_components(self):
         ds, _ = data.synth_classification(150, 6, 2, seed=3)
