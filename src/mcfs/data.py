@@ -104,8 +104,6 @@ class Split:
 
     train: Dataset
     test: Dataset
-    train_rows: np.ndarray = field(repr=False, default=None)
-    test_rows: np.ndarray = field(repr=False, default=None)
 
 
 def load_csv(path: str, label_col: str) -> Dataset:
@@ -213,13 +211,9 @@ def split_dataset(ds: Dataset, ratio: float, seed: int) -> Split:
 
     mask = np.zeros(n, dtype=bool)
     mask[train_rows] = True
-    train_idx = np.sort(train_rows)
-    test_idx = np.flatnonzero(~mask)
     return Split(
-        train=ds.take(train_idx),
-        test=ds.take(test_idx),
-        train_rows=train_idx,
-        test_rows=test_idx,
+        train=ds.take(np.sort(train_rows)),
+        test=ds.take(np.flatnonzero(~mask)),
     )
 
 

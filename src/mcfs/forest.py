@@ -26,7 +26,7 @@ batch either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,13 +79,7 @@ class MetricReport:
     n_samples: int
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "f1_macro": self.f1_macro,
-            "f1_micro": self.f1_micro,
-            "confusion": self.confusion.tolist(),
-            "n_samples": self.n_samples,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 def _column_edges(values: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Every report is validated against REPORT_SCHEMA before it touches disk.
 Two runs with identical flags produce byte-identical JSON apart from the
-wall-time fields.  The ``config`` block and the ``curves`` rows are the
-fields of ``engine.TrainConfig`` and ``engine.EpisodeStats``, and their
-schemas are generated from those dataclasses.
+wall-time fields.  The ``config`` block, the ``curves`` rows and the
+metrics blocks are the fields of ``engine.TrainConfig``,
+``engine.EpisodeStats`` and ``forest.MetricReport``, and their schemas are
+generated from those dataclasses.  Every object schema requires all its
+keys, except the optional ``train_ratio`` and ``informative`` of the
+``dataset`` block.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .engine import MODES, EpisodeStats, TrainConfig
+from .forest import MetricReport
 
 SCHEMA_VERSION = 3
 
@@ -26,110 +30,81 @@ CURVE_COLUMNS = tuple(f.name for f in fields(EpisodeStats))
 _JSON_TYPES = {int: "integer", float: "number"}
 
 
-def _dataclass_schema(cls, minimums=None) -> dict:
+def _object(props: dict, optional=(), extra=False) -> dict:
+    """Object schema requiring every key of ``props`` but ``optional``."""
+    return {
+        "type": "object",
+        "properties": props,
+        "required": [k for k in props if k not in optional],
+        "additionalProperties": extra,
+    }
+
+
+def _dataclass_schema(cls, keywords=None) -> dict:
     """Object schema with every field of ``cls`` required and no others.
 
     Mode fields take their values from ``engine.MODES``, a nested
-    dataclass gets its own object schema, and ``minimums`` maps field
-    names to lower bounds.
+    dataclass gets its own object schema, and ``keywords`` maps field
+    names to extra schema keywords; a field whose keywords give a
+    ``type`` takes them as its whole schema.
     """
-    minimums = minimums or {}
+    keywords = keywords or {}
     hints = get_type_hints(cls)
     props = {}
     for f in fields(cls):
         tp = hints[f.name]
+        prop = dict(keywords.get(f.name, {}))
         if f.name in MODES:
-            prop = {"enum": list(MODES[f.name])}
+            prop["enum"] = list(MODES[f.name])
         elif is_dataclass(tp):
-            prop = _dataclass_schema(tp)
-        else:
-            prop = {"type": _JSON_TYPES[tp]}
-        if f.name in minimums:
-            prop["minimum"] = minimums[f.name]
+            prop.update(_dataclass_schema(tp))
+        elif "type" not in prop:
+            prop["type"] = _JSON_TYPES[tp]
         props[f.name] = prop
-    return {
-        "type": "object",
-        "properties": props,
-        "required": list(props),
-        "additionalProperties": False,
-    }
+    return _object(props)
 
 
-_METRICS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "accuracy": {"type": "number"},
-        "f1_macro": {"type": "number"},
-        "f1_micro": {"type": "number"},
-        "confusion": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer"}},
-        },
-        "n_samples": {"type": "integer", "minimum": 0},
+_METRICS_SCHEMA = _dataclass_schema(MetricReport, {
+    "confusion": {
+        "type": "array",
+        "items": {"type": "array", "items": {"type": "integer"}},
     },
-    "required": ["accuracy", "f1_macro", "f1_micro", "confusion",
-                 "n_samples"],
-    "additionalProperties": False,
-}
+    "n_samples": {"minimum": 0},
+})
 
-_SUBSET_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "indices": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-        },
-        "names": {"type": "array", "items": {"type": "string"}},
-    },
-    "required": ["indices", "names"],
-    "additionalProperties": False,
-}
-
-_BASELINE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "subset": _SUBSET_SCHEMA,
-        "metrics": _METRICS_SCHEMA,
-    },
-    "required": ["subset", "metrics"],
-    "additionalProperties": False,
-}
+_SUBSET_SCHEMA = _object({
+    "indices": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+    "names": {"type": "array", "items": {"type": "string"}},
+})
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
+    **_object({
         "schema_version": {"const": SCHEMA_VERSION},
-        "config": _dataclass_schema(TrainConfig, {"episodes": 1}),
-        "dataset": {
-            "type": "object",
-            "properties": {
-                "source": {"type": "string"},
-                "n_samples": {"type": "integer", "minimum": 1},
-                "n_features": {"type": "integer", "minimum": 1},
-                "n_classes": {"type": "integer", "minimum": 2},
-                "train_ratio": {"type": "number"},
-                "informative": {
-                    "type": "array",
-                    "items": {"type": "integer"},
-                },
-            },
-            "required": ["source", "n_samples", "n_features", "n_classes"],
-            "additionalProperties": True,
-        },
+        "config": _dataclass_schema(TrainConfig, {"episodes": {"minimum": 1}}),
+        "dataset": _object({
+            "source": {"type": "string"},
+            "n_samples": {"type": "integer", "minimum": 1},
+            "n_features": {"type": "integer", "minimum": 1},
+            "n_classes": {"type": "integer", "minimum": 2},
+            "train_ratio": {"type": "number"},
+            "informative": {"type": "array", "items": {"type": "integer"}},
+        }, optional=("train_ratio", "informative"), extra=True),
         "best_subset": _SUBSET_SCHEMA,
         "greedy_subset": _SUBSET_SCHEMA,
         "best_eval": {"type": "number"},
         "test_metrics": _METRICS_SCHEMA,
         "baselines": {
             "type": "object",
-            "additionalProperties": _BASELINE_SCHEMA,
+            "additionalProperties": _object(
+                {"subset": _SUBSET_SCHEMA, "metrics": _METRICS_SCHEMA}
+            ),
         },
         "curves": {
             "type": "array",
-            "items": _dataclass_schema(
-                EpisodeStats, {"episode": 1, "length": 1}
-            ),
+            "items": _dataclass_schema(EpisodeStats, {
+                "episode": {"minimum": 1}, "length": {"minimum": 1},
+            }),
         },
         "episodes_completed": {"type": "integer", "minimum": 0},
         "total_steps": {"type": "integer", "minimum": 0},
@@ -139,12 +114,7 @@ REPORT_SCHEMA = {
         },
         "seed": {"type": "integer"},
         "total_wall_ms": {"type": "number"},
-    },
-    "required": ["schema_version", "config", "dataset", "best_subset",
-                 "greedy_subset", "best_eval", "test_metrics", "baselines",
-                 "curves", "episodes_completed", "total_steps",
-                 "decision_counts", "seed", "total_wall_ms"],
-    "additionalProperties": False,
+    }),
 }
 
 
@@ -188,17 +158,18 @@ def _finite_number(checker, instance) -> bool:
 
 @functools.cache
 def _report_validator():
-    """REPORT_SCHEMA's validator, built and checked once per process.
+    """REPORT_SCHEMA's validator, built once per process.
 
-    A "number" must be finite: ``json.dumps`` would write NaN and
-    infinities as bare tokens that are not JSON.  jsonschema is imported
-    here, not with the module, so its ~5 MB are not resident while forests
-    grow, and processes that never validate never load it.
+    The schema is a constant, so the test suite checks it against its
+    meta-schema, not every process.  A "number" must be finite:
+    ``json.dumps`` would write NaN and infinities as bare tokens that are
+    not JSON.  jsonschema is imported here, not with the module, so its
+    ~4 MB are not resident while forests grow, and processes that never
+    validate never load it.
     """
     import jsonschema
 
     base = jsonschema.Draft202012Validator
-    base.check_schema(REPORT_SCHEMA)
     cls = jsonschema.validators.extend(
         base, type_checker=base.TYPE_CHECKER.redefine("number", _finite_number)
     )

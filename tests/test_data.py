@@ -169,12 +169,27 @@ class TestCsv:
             data.load_csv(tmp_path / "absent.csv", "label")
 
 
+def row_ids(part):
+    """Row ids of a split part built from ``indexed_dataset``."""
+    return part.features[:, 0].astype(np.int64)
+
+
+def indexed_dataset(n, d, seed):
+    """``tiny_dataset`` with each row's id in column 0."""
+    ds = tiny_dataset(n, d, seed=seed)
+    x = ds.features.copy()
+    x[:, 0] = np.arange(n)
+    return data.Dataset(x, ds.labels, ds.feature_names, ds.n_classes)
+
+
 class TestSplit:
     def test_partitions_rows(self):
-        ds = tiny_dataset(20, 3, seed=1)
+        ds = indexed_dataset(20, 3, seed=1)
         sp = data.split_dataset(ds, 0.8, seed=5)
-        both = np.concatenate([sp.train_rows, sp.test_rows])
+        both = np.concatenate([row_ids(sp.train), row_ids(sp.test)])
         assert_array_equal(np.sort(both), np.arange(20))
+        assert_array_equal(sp.train.labels, ds.labels[row_ids(sp.train)])
+        assert_array_equal(sp.test.labels, ds.labels[row_ids(sp.test)])
         assert sp.train.n_samples == 16
         assert sp.test.n_samples == 4
 
@@ -188,17 +203,17 @@ class TestSplit:
         assert abs(train_share - 0.25) < 0.05
 
     def test_deterministic(self):
-        ds = tiny_dataset(25, 3, seed=4)
+        ds = indexed_dataset(25, 3, seed=4)
         a = data.split_dataset(ds, 0.8, seed=9)
         b = data.split_dataset(ds, 0.8, seed=9)
-        assert_array_equal(a.train_rows, b.train_rows)
-        assert_array_equal(a.test_rows, b.test_rows)
+        assert_array_equal(row_ids(a.train), row_ids(b.train))
+        assert_array_equal(row_ids(a.test), row_ids(b.test))
 
     def test_seed_changes_partition(self):
-        ds = tiny_dataset(30, 3, seed=4)
+        ds = indexed_dataset(30, 3, seed=4)
         a = data.split_dataset(ds, 0.8, seed=1)
         b = data.split_dataset(ds, 0.8, seed=2)
-        assert not np.array_equal(a.train_rows, b.train_rows)
+        assert not np.array_equal(row_ids(a.train), row_ids(b.train))
 
     def test_rejects_bad_ratio(self):
         ds = tiny_dataset()

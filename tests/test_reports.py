@@ -1,4 +1,5 @@
-"""Report schema: the config and curves blocks follow the engine dataclasses."""
+"""Report schema: the config, curves and metrics blocks follow their
+dataclasses."""
 
 import copy
 import json
@@ -14,7 +15,7 @@ import jsonschema
 import pytest
 
 import mcfs
-from mcfs import cli, engine, reports
+from mcfs import cli, engine, forest, reports
 from mcfs.rewards import RewardWeights
 from support import run_payload
 
@@ -56,6 +57,12 @@ def test_schema_lists_the_dataclass_fields():
     curve = props["curves"]["items"]
     assert tuple(curve["properties"]) == reports.CURVE_COLUMNS
     assert tuple(curve["required"]) == reports.CURVE_COLUMNS
+    metric_fields = [f.name for f in fields(forest.MetricReport)]
+    for metrics in (props["test_metrics"],
+                    props["baselines"]["additionalProperties"]["properties"]
+                    ["metrics"]):
+        assert list(metrics["properties"]) == metric_fields
+        assert metrics["required"] == metric_fields
 
 
 def test_mode_enums_come_from_engine():
@@ -175,20 +182,31 @@ def test_non_finite_free_form_value_is_not_written(payload, tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_schema_checked_once(payload, monkeypatch):
+def test_schema_meets_its_meta_schema():
+    # REPORT_SCHEMA is a constant, so it is checked here, not in each run
+    jsonschema.Draft202012Validator.check_schema(reports.REPORT_SCHEMA)
+
+
+def test_schema_is_version_3():
+    # every keyword, bound and additionalProperties of the v3 schema
+    pinned = json.loads((Path(__file__).parent
+                         / "report_schema_v3.json").read_text())
+    assert (json.dumps(reports.REPORT_SCHEMA, sort_keys=True)
+            == json.dumps(pinned, sort_keys=True))
+
+
+def test_reports_never_check_the_schema(payload, tmp_path, monkeypatch):
     calls = []
-    check = jsonschema.Draft202012Validator.check_schema
 
     def counting(cls, schema, *args, **kwargs):
         calls.append(schema)
-        return check(schema, *args, **kwargs)
 
     monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
                         classmethod(counting))
     reports._report_validator.cache_clear()
-    reports.validate_report(payload)
-    reports.validate_report(payload)
-    assert calls == [reports.REPORT_SCHEMA]
+    json_path, _ = reports.write_report_files(payload, tmp_path)
+    reports.load_report(json_path)
+    assert calls == []
 
 
 def test_jsonschema_loaded_only_to_validate(payload, tmp_path):
