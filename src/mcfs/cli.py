@@ -14,7 +14,11 @@ A run is a sweep of one arm.  The three reference baselines depend only
 on the outer split and the seed, so they are fitted once and each arm fits
 only its selected subset.  ``MCFS_THREADS`` > 1 queues the arms, then one
 task per reference subset, on that many worker processes (at most one per
-task).  Tasks share no state, so the reports equal the sequential ones.
+task).  The inner split is made once per command, and its training fold
+keeps the reward and utility tables (``engine._Trainer``): arms in this
+process share them, and each arm in a worker gets its own copy.  A reward
+does not depend on who computes it, so the reports equal the sequential
+ones either way.
 """
 
 from __future__ import annotations
@@ -168,11 +172,11 @@ def _load_dataset(args):
     return ds, meta
 
 
-def _baseline_entry(split, subset, seed, n_trees=FINAL_TREES) -> dict:
+def _baseline_entry(split, subset, seed) -> dict:
     """Held-out metrics of a final-size forest fitted on one subset."""
     cols = sorted(int(c) for c in subset)
     if cols:
-        model = forest.train_forest(split.train, cols, n_trees=n_trees,
+        model = forest.train_forest(split.train, cols, n_trees=FINAL_TREES,
                                     seed=seed)
         metrics = forest.evaluate(model, split.test)
     else:
@@ -206,20 +210,18 @@ def reference_subsets(train, seed) -> dict:
     }
 
 
-def compare_baselines(split, subsets, seed, pool=None,
-                      n_trees=FINAL_TREES) -> dict:
+def compare_baselines(split, subsets, seed, pool=None) -> dict:
     """Held-out metrics of each subset by name; one ``pool`` task each."""
-    entry = functools.partial(_baseline_entry, split, seed=seed,
-                              n_trees=n_trees)
+    entry = functools.partial(_baseline_entry, split, seed=seed)
     if pool is None:
         return {name: entry(cols) for name, cols in subsets.items()}
     jobs = {name: pool.submit(entry, cols) for name, cols in subsets.items()}
     return {name: job.result() for name, job in jobs.items()}
 
 
-def _execute_run(outer, meta, config):
-    """One arm: train inside ``outer``, then fit the selected subset."""
-    inner = data.split_dataset(outer.train, TRAIN_RATIO, seed=config.seed)
+def _execute_run(outer, inner, meta, config):
+    """One arm: train on ``inner``, the split of ``outer``'s training
+    fold, then fit the selected subset on ``outer``."""
     run = engine.train(inner, config)
     baselines = {"selected": _baseline_entry(outer, run.best_subset,
                                              config.seed)}
@@ -229,11 +231,15 @@ def _execute_run(outer, meta, config):
 
 def _run_arms(ds, meta, configs, workers) -> list:
     """Each config's report payload; the configs share one seed, so one
-    outer split and one set of reference baselines."""
+    outer split, one inner split with its reward and utility tables, and
+    one set of reference baselines."""
     seed = configs[0].seed
     outer = data.split_dataset(ds, TRAIN_RATIO, seed=seed)
     subsets = reference_subsets(outer.train, seed)
-    arm = functools.partial(_execute_run, outer, meta)
+    # only ``arm`` holds the inner split, so dropping it frees the tables
+    inner = data.split_dataset(outer.train, TRAIN_RATIO, seed=seed)
+    arm = functools.partial(_execute_run, outer, inner, meta)
+    del inner
     # a fork-started pool starts every worker at once: one per task at most
     workers = min(workers, len(configs) + len(subsets))
     if workers > 1:
@@ -244,6 +250,7 @@ def _run_arms(ds, meta, configs, workers) -> list:
             payloads = [job.result() for job in jobs]
     else:
         payloads = [arm(c) for c in configs]
+        del arm  # before the reference fits, which set the memory peak
         refs = compare_baselines(outer, subsets, seed)
     for payload in payloads:
         payload["baselines"] = {**refs, **payload["baselines"]}

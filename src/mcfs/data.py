@@ -29,9 +29,10 @@ class Dataset:
     source data; a fold produced by splitting keeps the parent's value even
     when some class is absent from that fold.
 
-    Views computed from the rows alone (bin codes, MI tables, column
-    statistics) live on the dataset itself, see ``derived``, so they are
-    freed with it.  The rows must not be modified after construction.
+    Views computed from the rows (bin codes, MI tables, column statistics,
+    and the reward and utility tables of runs that train on this fold)
+    live on the dataset itself, see ``derived``, so they are freed with it.
+    The rows must not be modified after construction.
     """
 
     features: np.ndarray

@@ -274,8 +274,26 @@ def final_selection(qnet, represent: Callable, n_features: int):
     return episode.final_subset
 
 
+def _reward_tables(train) -> dict:
+    """Reward by subset, one table per (test fold, weights, seed,
+    eval_trees), filled as runs on this training fold ask."""
+    return {}
+
+
+def _utility_tables(train) -> dict:
+    """Advice utility by subset, one table per utility mode."""
+    return {}
+
+
 class _Trainer:
-    """Owns the seeded streams, caches, and learned pieces of one run."""
+    """Owns the seeded streams and learned pieces of one run.
+
+    Rewards and utilities are kept on the training fold
+    (``Dataset.derived``), keyed by every input besides the subset, so runs
+    on one fold, such as the arms of a sweep, fit each reward forest once.
+    A subset's forest seed depends only on the run seed and the subset, so
+    a shared value equals the one a run would compute itself.
+    """
 
     def __init__(self, split, config: TrainConfig):
         self.split = split
@@ -294,26 +312,28 @@ class _Trainer:
         self.survival_window = deque(maxlen=config.memory_capacity)
         self.counts = np.zeros(n, dtype=np.int64)  # decisions per feature
         self.global_step = 0
-        self._reward_cache = {}
-        self._utility_cache = {}
+        self.rewards = split.train.derived(_reward_tables).setdefault(
+            (split.test, config.weights, config.seed, config.eval_trees), {}
+        )
+        self.utilities = split.train.derived(_utility_tables).setdefault(
+            config.utility_mode, {}
+        )
 
     def reward(self, subset: frozenset) -> float:
-        hit = self._reward_cache.get(subset)
+        hit = self.rewards.get(subset)
         if hit is None:
-            hit = _eval_reward(
+            hit = self.rewards[subset] = _eval_reward(
                 subset, self.split, self.config.weights, self.config.seed,
                 n_trees=self.config.eval_trees,
             )
-            self._reward_cache[subset] = hit
         return hit
 
     def utility(self, subset: frozenset) -> float:
-        hit = self._utility_cache.get(subset)
+        hit = self.utilities.get(subset)
         if hit is None:
-            hit = _utility(
+            hit = self.utilities[subset] = _utility(
                 subset, self.split.train, self.config.utility_mode
             )
-            self._utility_cache[subset] = hit
         return hit
 
     def score(self, episode: Episode, start_step: int):

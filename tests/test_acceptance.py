@@ -174,13 +174,19 @@ def benchmark_payload(seed):
     return run_payload(ds, meta, engine.TrainConfig(seed=seed))
 
 
-@functools.lru_cache(maxsize=None)
-def paired_payload(seed, stop_threshold, behavior):
-    """Paired-study run sharing one generator per seed.
+# the (stop_threshold, behavior_mode) arms that C6 and C7 compare
+PAIRED_ARMS = ((0.5, "greedy"), (0.0, "greedy"), (0.5, "random"))
 
-    18 features keeps the subset space large enough that undirected
-    behavior cannot cover it within the episode budget, so policy
-    quality shows up in the final eval instead of saturating.
+
+@functools.lru_cache(maxsize=None)
+def paired_payloads(seed):
+    """Paired-study runs of one seed, by arm: one three-arm sweep.
+
+    The arms share one generator, one inner fold with its reward table,
+    and one set of reference forests.  18 features keeps the subset space
+    large enough that undirected behavior cannot cover it within the
+    episode budget, so policy quality shows up in the final eval instead
+    of saturating.
     """
     ds, informative = data.synth_classification(300, 18, 4, seed=seed)
     meta = {
@@ -191,11 +197,14 @@ def paired_payload(seed, stop_threshold, behavior):
         "n_classes": ds.n_classes,
         "train_ratio": cli.TRAIN_RATIO,
     }
-    config = engine.TrainConfig(
-        episodes=120, max_global_steps=2160, stop_threshold=stop_threshold,
-        behavior_mode=behavior, seed=seed,
-    )
-    return run_payload(ds, meta, config)
+    configs = [
+        engine.TrainConfig(
+            episodes=120, max_global_steps=2160, stop_threshold=threshold,
+            behavior_mode=behavior, seed=seed,
+        )
+        for threshold, behavior in PAIRED_ARMS
+    ]
+    return dict(zip(PAIRED_ARMS, cli._run_arms(ds, meta, configs, 1)))
 
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -237,8 +246,8 @@ class TestC6EarlyStoppingEfficiency:
     def test_stopping_shortens_episodes_without_losing_eval(self):
         len_stop, len_plain, eval_stop, eval_plain = [], [], [], []
         for seed in SEEDS:
-            p_stop = paired_payload(seed, 0.5, "greedy")
-            p_plain = paired_payload(seed, 0.0, "greedy")
+            p_stop = paired_payloads(seed)[0.5, "greedy"]
+            p_plain = paired_payloads(seed)[0.0, "greedy"]
             len_stop.append(np.mean([c["length"]
                                      for c in p_stop["curves"]]))
             len_plain.append(np.mean([c["length"]
@@ -259,9 +268,9 @@ class TestC6EarlyStoppingEfficiency:
 
 class TestC7BehaviorPolicyStudy:
     def test_greedy_behavior_not_worse_than_random(self):
-        greedy = [paired_payload(s, 0.5, "greedy")["best_eval"]
+        greedy = [paired_payloads(s)[0.5, "greedy"]["best_eval"]
                   for s in SEEDS]
-        random_ = [paired_payload(s, 0.5, "random")["best_eval"]
+        random_ = [paired_payloads(s)[0.5, "random"]["best_eval"]
                    for s in SEEDS]
         med_g = float(np.median(greedy))
         med_r = float(np.median(random_))

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -57,11 +58,11 @@ def stripped_curves(out_dir):
     return rows
 
 
-def baselines(split, selected, seed, **kwargs):
+def baselines(split, selected, seed):
     """``compare_baselines`` over the reference subsets and ``selected``."""
     subsets = {**cli.reference_subsets(split.train, seed),
                "selected": selected}
-    return cli.compare_baselines(split, subsets, seed, **kwargs)
+    return cli.compare_baselines(split, subsets, seed)
 
 
 @pytest.fixture
@@ -340,10 +341,11 @@ class TestRunCommand:
 
 
 class TestBaselines:
-    def test_names_and_sizes(self):
+    def test_names_and_sizes(self, monkeypatch):
+        monkeypatch.setattr(cli, "FINAL_TREES", 10)
         ds, _ = data.synth_classification(120, 8, 3, seed=0)
         sp = data.split_dataset(ds, 0.8, seed=0)
-        table = baselines(sp, frozenset({1, 2}), seed=0, n_trees=10)
+        table = baselines(sp, frozenset({1, 2}), seed=0)
         assert set(table) == {"all_features", "kbest", "random", "selected"}
         assert table["all_features"]["subset"]["indices"] == list(range(8))
         assert len(table["kbest"]["subset"]["indices"]) == 4
@@ -371,18 +373,20 @@ class TestBaselines:
         table = baselines(sp, frozenset({0}), seed=1)
         assert table["all_features"]["metrics"]["accuracy"] >= 0.95
 
-    def test_random_subset_deterministic_per_seed(self):
+    def test_random_subset_deterministic_per_seed(self, monkeypatch):
+        monkeypatch.setattr(cli, "FINAL_TREES", 5)
         ds, _ = data.synth_classification(100, 10, 3, seed=2)
         sp = data.split_dataset(ds, 0.8, seed=2)
-        a = baselines(sp, frozenset({0}), seed=7, n_trees=5)
-        b = baselines(sp, frozenset({0}), seed=7, n_trees=5)
+        a = baselines(sp, frozenset({0}), seed=7)
+        b = baselines(sp, frozenset({0}), seed=7)
         assert a["random"]["subset"] == b["random"]["subset"]
         assert a["random"]["metrics"] == b["random"]["metrics"]
 
-    def test_empty_selection_gets_majority_metrics(self):
+    def test_empty_selection_gets_majority_metrics(self, monkeypatch):
+        monkeypatch.setattr(cli, "FINAL_TREES", 5)
         ds, _ = data.synth_classification(90, 5, 2, seed=3)
         sp = data.split_dataset(ds, 0.8, seed=3)
-        table = baselines(sp, frozenset(), seed=3, n_trees=5)
+        table = baselines(sp, frozenset(), seed=3)
         m = table["selected"]["metrics"]
         majority = np.bincount(sp.train.labels).argmax()
         share = float((sp.test.labels == majority).mean())
@@ -486,6 +490,65 @@ class TestSweep:
             assert payload["baselines"]["selected"]["subset"]["indices"]
         # three reference forests for the sweep, one per arm's selection
         assert fits.count(cli.FINAL_TREES) == 6
+
+    def test_arms_share_reward_forests(self, tmp_path, monkeypatch):
+        # arms in one process share the inner fold's reward table, so a
+        # subset that several arms score gets one reward forest
+        fits = []
+        scored = {}  # each arm's scored subsets, by its config
+        train_forest = forest.train_forest
+        reward = engine._Trainer.reward
+
+        def counting(*args, **kwargs):
+            fits.append(kwargs["n_trees"])
+            return train_forest(*args, **kwargs)
+
+        def recording(tr, subset):
+            scored.setdefault(tr.config, set()).add(subset)
+            return reward(tr, subset)
+
+        monkeypatch.setattr(forest, "train_forest", counting)
+        monkeypatch.setattr(engine._Trainer, "reward", recording)
+        monkeypatch.setenv("MCFS_THREADS", "1")
+        common = ["--synthetic", "120,6,2", "--episodes", "15", "--seed", "2"]
+        values = ("0.0", "0.5", "1.0")
+        assert cli.main(["sweep", *common, "--param", "stop-threshold",
+                         "--values", ",".join(values),
+                         "--out", str(tmp_path / "sw")]) == 0
+        distinct = set().union(*scored.values()) - {frozenset()}
+        per_arm = sum(len(s - {frozenset()}) for s in scored.values())
+        assert len(scored) == 3 and per_arm > len(distinct)
+        assert fits.count(engine.TrainConfig().eval_trees) == len(distinct)
+        for v in values:
+            one = tmp_path / f"run-{v}"
+            assert cli.main(["run", *common, "--stop-threshold", v,
+                             "--out", str(one)]) == 0
+            assert stripped_report(one) == stripped_report(
+                tmp_path / "sw" / f"stop-threshold={v}")
+
+    def test_inner_fold_freed_before_reference_fits(self, monkeypatch):
+        # the inner fold's tables would otherwise add to the memory peak
+        # that the 100-tree reference fits set
+        folds = []
+        split_dataset = data.split_dataset
+        compare_baselines = cli.compare_baselines
+
+        def recording(ds, ratio, seed):
+            split = split_dataset(ds, ratio, seed=seed)
+            folds.append(weakref.ref(split.train))
+            return split
+
+        def checking(*args, **kwargs):
+            outer, inner = folds
+            assert outer() is not None and inner() is None
+            return compare_baselines(*args, **kwargs)
+
+        monkeypatch.setattr(data, "split_dataset", recording)
+        monkeypatch.setattr(cli, "compare_baselines", checking)
+        ds, _ = data.synth_classification(80, 5, 2, seed=1)
+        configs = [engine.TrainConfig(episodes=3, stop_threshold=t, seed=1)
+                   for t in (0.0, 0.5)]
+        assert len(cli._run_arms(ds, {}, configs, 1)) == 2
 
     def test_failing_arm_in_worker_exits_1(self, tmp_path, monkeypatch,
                                            capsys):

@@ -1,6 +1,7 @@
 """Engine pieces: stopping, weights, returns, traversal, and training."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,6 +427,65 @@ class TestScore:
             ep.final_subset, tr.split, tr.config.weights, tr.config.seed,
             n_trees=tr.config.eval_trees,
         )
+
+
+
+class TestTables:
+    """Rewards and utilities live on the training fold, keyed by every
+    input besides the subset.  Each test patches the scoring function, so
+    it needs a fresh split: a cached split would keep its tables."""
+
+    SUBSET = frozenset({0, 2})
+
+    def test_reward_keys_are_complete(self, monkeypatch):
+        calls = []
+
+        def spy(subset, split, weights, seed, n_trees):
+            calls.append((subset, split.test, weights, seed, n_trees))
+            return 0.5
+
+        monkeypatch.setattr(engine, "_eval_reward", spy)
+        sp = small_split()
+        other_test = data.Split(sp.train, sp.test.take(np.arange(5)))
+        base = quick_config()
+        weights = rewards.RewardWeights(w_acc=0.5)
+        runs = [
+            (sp, base),
+            # no reward input differs: the table answers
+            (sp, replace(base, stop_threshold=0.0, utility_mode="rv")),
+            (sp, replace(base, weights=weights)),
+            (sp, replace(base, eval_trees=7)),
+            (sp, replace(base, seed=4)),
+            (other_test, base),
+        ]
+        for split, config in runs:
+            assert engine._Trainer(split, config).reward(self.SUBSET) == 0.5
+        assert calls == [
+            (self.SUBSET, sp.test, base.weights, 3, 5),
+            (self.SUBSET, sp.test, weights, 3, 5),
+            (self.SUBSET, sp.test, base.weights, 3, 7),
+            (self.SUBSET, sp.test, base.weights, 4, 5),
+            (self.SUBSET, other_test.test, base.weights, 3, 5),
+        ]
+
+    def test_utility_keys_are_complete(self, monkeypatch):
+        calls = []
+
+        def spy(subset, ds, mode):
+            calls.append((subset, mode))
+            return 0.25
+
+        monkeypatch.setattr(engine, "_utility", spy)
+        sp = small_split()
+        base = quick_config()
+        # seed, weights and eval_trees are no utility input
+        for config in (replace(base, utility_mode="rv"),
+                       replace(base, utility_mode="rd"),
+                       base,
+                       replace(base, utility_mode="rv", seed=4,
+                               eval_trees=7)):
+            assert engine._Trainer(sp, config).utility(self.SUBSET) == 0.25
+        assert calls == [(self.SUBSET, m) for m in ("rv", "rd", "rvrd")]
 
 
 class TestTrainLoop:
