@@ -603,6 +603,15 @@ GOLDEN_RUNS = {
         [6] * 12, "d50c05c9419ac08d",
         (0, 1, 2, 3, 5), (0,), (12,) * 6,
     ),
+    # information terms only, so no reward forest is fitted, and early
+    # stopping; pinned on the commit before the learner's per-step path
+    # was rewritten (one state per subset, scalar stop rule, flat
+    # gradient, one replay write per episode)
+    "mi_only_stopping": (
+        dict(weights=rewards.RewardWeights(0, 1, 1), stop_threshold=0.7),
+        [3, 2, 3, 6, 3, 6, 2, 1, 2, 2, 2, 2], "682247290366e73b",
+        (5,), (), (6, 6, 6, 6, 5, 5),
+    ),
 }
 
 
