@@ -155,8 +155,19 @@ def survival_probability(importance, stop_threshold: float):
 
     That is min(1, importance / stop_threshold), and the walk stops with the
     complement.  A zero threshold disables stopping: every step survives.
-    ``importance`` may be a scalar or an array.
+    ``importance`` may be an array, or a float, which the walk asks about
+    once a step and which gets a float back without building an array.
     """
+    if isinstance(importance, float):
+        if importance < 0 or stop_threshold < 0:
+            raise ValueError(
+                "importance and stop_threshold must be non-negative"
+            )
+        if stop_threshold == 0:
+            return 1.0
+        ratio = importance / stop_threshold
+        # a NaN ratio stays NaN, as it does under np.minimum
+        return 1.0 if ratio > 1.0 else ratio
     imp = np.asarray(importance, dtype=np.float64)
     if stop_threshold < 0 or (imp < 0).any():
         raise ValueError("importance and stop_threshold must be non-negative")
@@ -268,7 +279,7 @@ def final_selection(qnet, represent: Callable, n_features: int):
     """
     episode = traverse_episode(
         qnet, range(n_features), represent,
-        choose=lambda q: (int(np.argmax(q)), 1.0),
+        choose=lambda q: (qlearner.greedy_action(q), 1.0),
         stop=lambda importance: False,
     )
     return episode.final_subset
@@ -285,14 +296,20 @@ def _utility_tables(train) -> dict:
     return {}
 
 
+def _state_table(train) -> dict:
+    """Read-only state vector by subset."""
+    return {}
+
+
 class _Trainer:
     """Owns the seeded streams and learned pieces of one run.
 
-    Rewards and utilities are kept on the training fold
+    Rewards, utilities and states are kept on the training fold
     (``Dataset.derived``), keyed by every input besides the subset, so runs
-    on one fold, such as the arms of a sweep, fit each reward forest once.
-    A subset's forest seed depends only on the run seed and the subset, so
-    a shared value equals the one a run would compute itself.
+    on one fold, such as the arms of a sweep, fit each reward forest and
+    compute each state once.  A subset's forest seed depends only on the
+    run seed and the subset, so a shared value equals the one a run would
+    compute itself.
     """
 
     def __init__(self, split, config: TrainConfig):
@@ -302,8 +319,7 @@ class _Trainer:
         net_ss, behavior_ss, replay_ss = (
             np.random.SeedSequence(config.seed).spawn(3)
         )
-        self.represent = lambda subset: state_repr.meta_stats(split.train,
-                                                              subset)
+        self.states = split.train.derived(_state_table)
         state_dim = self.represent(frozenset()).size
         self.qnet = qlearner.q_network(state_dim, seed=net_ss)
         self.behavior_rng = np.random.default_rng(behavior_ss)
@@ -318,6 +334,15 @@ class _Trainer:
         self.utilities = split.train.derived(_utility_tables).setdefault(
             config.utility_mode, {}
         )
+
+    def represent(self, subset: frozenset) -> np.ndarray:
+        hit = self.states.get(subset)
+        if hit is None:
+            hit = self.states[subset] = state_repr.meta_stats(
+                self.split.train, subset
+            )
+            hit.flags.writeable = False  # shared by every walk on the fold
+        return hit
 
     def reward(self, subset: frozenset) -> float:
         hit = self.rewards.get(subset)
@@ -366,8 +391,9 @@ def train(split, config: TrainConfig) -> RunReport:
     t_start = time.perf_counter()
     tr = _Trainer(split, config)
     curves = []
+    # the first episode seeds the best, whatever its eval
     best_subset = frozenset()
-    best_eval = 0.0
+    best_eval = -math.inf
     rng = tr.behavior_rng
     if config.behavior_mode == "greedy":
         choose = lambda q: qlearner.behavior_policy(q, config.epsilon, rng)
@@ -394,12 +420,13 @@ def train(split, config: TrainConfig) -> RunReport:
         survival = survival_probability(importance, config.stop_threshold)
         # the mean survival over replay-memory steps, or over the episode's
         # own steps while the memory is still empty
-        survival_mean = float(np.mean(tr.survival_window or survival))
+        window = np.asarray(tr.survival_window or survival)
+        survival_mean = float(np.add.reduce(window) / window.size)
         weights = recalc_weights(importance, survival, survival_mean)
         tr.survival_window.extend(survival)
         returns = compute_returns(advised, config.gamma, config.return_mode)
-        for s, w, g in zip(episode.steps, weights, returns):
-            tr.memory.push(s.state, s.action, w * g)
+        tr.memory.push(np.stack([s.state for s in episode.steps]),
+                       [s.action for s in episode.steps], weights * returns)
 
         losses = []
         for _ in range(config.updates_per_episode):
@@ -415,7 +442,7 @@ def train(split, config: TrainConfig) -> RunReport:
             episode=ep,
             eval=float(final_eval),
             length=len(episode.steps),
-            loss=float(np.mean(losses)),
+            loss=float(np.add.reduce(losses) / len(losses)),
             wall_ms=(time.perf_counter() - ep_start) * 1000.0,
         ))
 

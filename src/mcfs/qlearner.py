@@ -1,9 +1,9 @@
 """Action-value network, derived policies, and replay memory.
 
 The Q-net is a plain ``nn.MLP`` mapping a state to the values of the two
-actions.  The replay memory is a ring of preallocated arrays, so a sample is
-one fancy index per array and comes out in the batch form ``train_step``
-takes.
+actions.  The replay memory is a ring of preallocated arrays, so an
+episode's push and a sample are one fancy index per array, and a sample
+comes out in the batch form ``train_step`` takes.
 """
 
 from __future__ import annotations
@@ -32,6 +32,13 @@ def q_values(qnet: MLP, state: np.ndarray) -> np.ndarray:
     return out[0]
 
 
+def greedy_action(q: np.ndarray) -> int:
+    """``int(np.argmax(q))`` over the two action values, on Python floats:
+    ties go to action 0, and the first NaN wins."""
+    q0, q1 = q.tolist()
+    return int(q0 == q0 and (q1 > q0 or q1 != q1))
+
+
 def target_policy(q: np.ndarray) -> np.ndarray:
     """Softmax over the action values ``q``; safe for large magnitudes."""
     z = q - q.max()
@@ -49,7 +56,7 @@ def behavior_policy(q: np.ndarray, epsilon: float, rng: np.random.Generator):
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    greedy = int(np.argmax(q))
+    greedy = greedy_action(q)
     if rng.random() < 1.0 - epsilon:
         return greedy, 1.0 - epsilon
     return 1 - greedy, epsilon
@@ -80,28 +87,28 @@ def train_step(qnet: MLP, batch, lr: float) -> float:
         raise ValueError("states, actions and targets differ in length")
     if actions.dtype.kind not in "iu":
         raise ValueError("actions must be integers")
-    if not np.all(np.isfinite(targets)):
+    if not np.isfinite(targets).all():
         raise ValueError("non-finite training targets")
-    if not np.all((actions >= 0) & (actions < N_ACTIONS)):
+    if not (actions.min() >= 0 and actions.max() < N_ACTIONS):
         raise ValueError("actions must be 0 or 1")
 
     out, cache = qnet.forward(states)
     rows = np.arange(len(targets))
     err = out[rows, actions] - targets
-    loss = float(np.mean(np.square(err)))
+    sq = np.square(err)
+    loss = float(np.add.reduce(sq) / sq.size)
     dout = np.zeros_like(out)
     dout[rows, actions] = 2.0 * err / len(targets)
-    grads = qnet.backward(cache, dout)
-    qnet.adam_step(grads, lr)
+    qnet.adam_step(qnet.backward(cache, dout), lr)
     return loss
 
 
 class ReplayMemory:
     """Bounded FIFO of (state, action, weighted_return) rows.
 
-    The rows sit in ring arrays; ``_head`` is the slot the next push writes,
-    and once the ring is full it also holds the oldest row.  ``states`` is
-    allocated on the first push, when the state width is known.
+    The rows sit in ring arrays; ``_head`` is the slot the next row goes
+    to, and once the ring is full it also holds the oldest row.  ``states``
+    is allocated on the first push, when the state width is known.
     """
 
     def __init__(self, capacity: int):
@@ -114,20 +121,32 @@ class ReplayMemory:
         self._head = 0
         self._size = 0
 
-    def push(self, state, action, weighted_return) -> None:
-        state = np.asarray(state, dtype=np.float64)
+    def push(self, states, actions, weighted_returns) -> None:
+        """Append rows in order, oldest first, in one write per array.
+
+        ``states`` holds one state per row.  More rows than the capacity
+        keep only the last ``capacity`` of them, as one push per row would.
+        """
+        states = np.asarray(states, dtype=np.float64)
+        if states.ndim < 2:
+            raise ValueError("states must hold one state per row")
+        n = len(states)
+        if not n == len(actions) == len(weighted_returns):
+            raise ValueError("states, actions and targets differ in length")
         if self.states is None:
-            self.states = np.zeros((self.capacity, *state.shape))
-        if state.shape != self.states.shape[1:]:
+            self.states = np.zeros((self.capacity, *states.shape[1:]))
+        if states.shape[1:] != self.states.shape[1:]:
             raise ValueError(
-                f"state has shape {state.shape}, memory holds "
+                f"states have shape {states.shape[1:]}, memory holds "
                 f"{self.states.shape[1:]}"
             )
-        self.states[self._head] = state
-        self.actions[self._head] = int(action)
-        self.targets[self._head] = float(weighted_return)
-        self._head = (self._head + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        keep = min(n, self.capacity)
+        slots = (self._head + np.arange(n - keep, n)) % self.capacity
+        self.states[slots] = states[n - keep:]
+        self.actions[slots] = actions[n - keep:]
+        self.targets[slots] = weighted_returns[n - keep:]
+        self._head = (self._head + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
 
     def sample(self, rng: np.random.Generator, k: int):
         """Uniform draw without replacement; clamps k to the current size.

@@ -25,11 +25,6 @@ def set_flat(net, flat: np.ndarray) -> None:
     net.params[...] = flat
 
 
-def flat_grads(grads) -> np.ndarray:
-    """``MLP.backward`` gradients laid out as ``get_flat``."""
-    return np.concatenate([g.ravel() for g in grads])
-
-
 def mse_loss_grad(out: np.ndarray, target: np.ndarray):
     """Mean squared error over every output entry, and d(loss)/d(out)."""
     err = out - target
@@ -83,7 +78,9 @@ def percentile_seven(matrix: np.ndarray) -> np.ndarray:
 
 class ListAdam:
     """Adam run one parameter array at a time on copies of ``params``: the
-    reference for ``MLP.adam_step``."""
+    reference for ``MLP.adam_step``.  ``params`` are an MLP's weights, then
+    its biases, so ``step`` cuts a gradient vector laid out like
+    ``MLP.params`` into one view per parameter."""
 
     def __init__(self, params):
         self.params = [np.array(p) for p in params]
@@ -91,10 +88,13 @@ class ListAdam:
         self._v = [np.zeros_like(p) for p in self.params]
         self._t = 0
 
-    def step(self, grads, lr: float) -> None:
+    def step(self, grad: np.ndarray, lr: float) -> None:
         self._t += 1
         t = self._t
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
+        pos = 0
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = grad[pos:pos + p.size].reshape(p.shape)
+            pos += p.size
             m *= nn.ADAM_BETA1
             m += (1 - nn.ADAM_BETA1) * g
             v *= nn.ADAM_BETA2

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mcfs import cli, data, engine, forest, reports
+from mcfs import cli, data, engine, forest, reports, state
 from support import write_csv
 
 
@@ -526,12 +526,46 @@ class TestSweep:
             assert stripped_report(one) == stripped_report(
                 tmp_path / "sw" / f"stop-threshold={v}")
 
+    def test_arms_share_states(self, monkeypatch):
+        # arms in one process share the inner fold's state table, so each
+        # distinct subset's state is computed once for the command
+        computed = []
+        asked = {}  # each arm's requested subsets, by its config
+        meta_stats = state.meta_stats
+        represent = engine._Trainer.represent
+
+        def counting(ds, subset):
+            computed.append(subset)
+            return meta_stats(ds, subset)
+
+        def recording(tr, subset):
+            asked.setdefault(tr.config, []).append(subset)
+            return represent(tr, subset)
+
+        monkeypatch.setattr(state, "meta_stats", counting)
+        monkeypatch.setattr(engine._Trainer, "represent", recording)
+        ds, _ = data.synth_classification(120, 6, 2, seed=2)
+        configs = [engine.TrainConfig(episodes=15, stop_threshold=t, seed=2)
+                   for t in (0.0, 0.5, 1.0)]
+        assert len(cli._run_arms(ds, {}, configs, 1)) == 3
+        distinct = set().union(*asked.values())
+        assert len(asked) == 3
+        assert sum(len(a) for a in asked.values()) > len(distinct)
+        assert sorted(map(sorted, computed)) == sorted(map(sorted, distinct))
+
     def test_inner_fold_freed_before_reference_fits(self, monkeypatch):
         # the inner fold's tables would otherwise add to the memory peak
         # that the 100-tree reference fits set
         folds = []
+        states = []  # every state vector the run computed
         split_dataset = data.split_dataset
         compare_baselines = cli.compare_baselines
+        meta_stats = state.meta_stats
+
+        def keeping(ds, subset):
+            vector = meta_stats(ds, subset)
+            states.append(weakref.ref(vector))
+            return vector
 
         def recording(ds, ratio, seed):
             split = split_dataset(ds, ratio, seed=seed)
@@ -541,8 +575,10 @@ class TestSweep:
         def checking(*args, **kwargs):
             outer, inner = folds
             assert outer() is not None and inner() is None
+            assert states and all(vector() is None for vector in states)
             return compare_baselines(*args, **kwargs)
 
+        monkeypatch.setattr(state, "meta_stats", keeping)
         monkeypatch.setattr(data, "split_dataset", recording)
         monkeypatch.setattr(cli, "compare_baselines", checking)
         ds, _ = data.synth_classification(80, 5, 2, seed=1)

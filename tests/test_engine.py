@@ -85,6 +85,33 @@ class TestStopProbability:
         for w, v in cases:
             assert stop_chance(w, v) == stop_probability(w, v)
 
+    # importances at 0, below, at and above each threshold
+    FLOAT_IMPORTANCES = (0.0, 0.2, 0.5, 0.7, 1.4, 3.0)
+
+    def test_float_matches_array_and_scalar_rule(self):
+        # Python floats, as the walk passes them; iterating an array would
+        # pass np.float64 items instead
+        imp = np.array(self.FLOAT_IMPORTANCES)
+        for v in (0.0, 0.5, 0.7):
+            surv = engine.survival_probability(imp, v)
+            for w, s in zip(imp.tolist(), surv.tolist()):
+                got = engine.survival_probability(w, v)
+                assert type(got) is float
+                assert got == s
+                assert 1.0 - got == stop_probability(w, v)
+
+    def test_float_nan_propagates_as_array(self):
+        assert np.isnan(engine.survival_probability(float("nan"), 0.5))
+        assert engine.survival_probability(float("nan"), 0.0) == 1.0
+        assert np.isnan(engine.survival_probability(
+            np.array([float("nan")]), 0.5
+        )[0])
+
+    def test_float_rejects_negative_inputs(self):
+        for w, v in ((-0.1, 0.5), (0.5, -0.1), (-0.1, 0.0)):
+            with pytest.raises(ValueError):
+                engine.survival_probability(w, v)
+
     def test_array_matches_scalar_calls(self):
         rng = np.random.default_rng(2)
         for v in (*EDGE_THRESHOLDS, 0.37):
@@ -549,21 +576,52 @@ class TestTrainLoop:
 
     def test_state_function_looked_up_per_call(self, monkeypatch):
         # a wrapper installed after the trainer is built still sees every
-        # state, as a call-counting probe needs
+        # state the table computes, as a call-counting probe needs; the
+        # split is fresh, so its table holds only the empty subset
         sp = small_split()
         tr = engine._Trainer(sp, quick_config())
         seen = []
         meta_stats = state.meta_stats
 
         def counting(ds, subset):
-            seen.append(ds)
+            seen.append((ds, subset))
             return meta_stats(ds, subset)
 
         monkeypatch.setattr(state, "meta_stats", counting)
         tr.represent(frozenset({2}))
-        engine.train(sp, quick_config(episodes=3))
+        engine.train(sp, quick_config(episodes=3, behavior_mode="random",
+                                      stop_threshold=0.0))
         assert len(seen) > 1
-        assert all(ds is sp.train for ds in seen)
+        assert all(ds is sp.train for ds, _ in seen)
+        # each subset's state is computed once per fold
+        assert len({subset for _, subset in seen}) == len(seen)
+
+    def test_states_are_read_only_and_kept(self):
+        tr = engine._Trainer(small_split(), quick_config())
+        s = tr.represent(frozenset({1, 4}))
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 1.0
+        # a second trainer on the fold reads the same vector
+        other = engine._Trainer(tr.split, quick_config(seed=5))
+        assert other.represent(frozenset({4, 1})) is s
+
+    def test_all_negative_evals_keep_the_best_episode(self):
+        # redundancy alone scores every subset of two or more features
+        # below zero; the best is still an episode the run trained, not
+        # an empty subset that no episode ended on
+        rep = engine.train(small_split(), quick_config(
+            weights=rewards.RewardWeights(0, 0, 1), behavior_mode="random",
+            stop_threshold=0.0,
+        ))
+        evals = [c.eval for c in rep.curves]
+        assert max(evals) < 0.0
+        assert rep.best_eval == max(evals)
+        assert len(rep.best_subset) >= 2
+        assert rep.best_eval == rewards.eval_reward(
+            frozenset(rep.best_subset), small_split(),
+            rep.config.weights, rep.config.seed, n_trees=5,
+        )
 
     def test_reranking_moves_skipped_features_forward(self):
         sp = small_split()

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcfs import nn
-from support import ListAdam, flat_grads, get_flat, mse_loss_grad, set_flat
+from support import ListAdam, get_flat, mse_loss_grad, set_flat
 
 
 def finite_difference_grads(net, x, target, h=1e-6):
@@ -81,11 +81,28 @@ class TestGradients:
             target = rng.normal(size=(3, sizes[-1]))
             out, cache = net.forward(x)
             _, dout = mse_loss_grad(out, target)
-            grads = net.backward(cache, dout)
-            flat = flat_grads(grads)
+            flat = net.backward(cache, dout)
             fd = finite_difference_grads(net, x, target)
             err = np.abs(flat - fd) / np.maximum(1e-8, np.abs(flat) + np.abs(fd))
             assert err.max() < 1e-5
+
+    def test_one_new_vector_laid_out_like_params(self):
+        net = nn.MLP([3, 5, 4, 2], seed=3)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(6, 3))
+        out, cache = net.forward(x)
+        _, dout = mse_loss_grad(out, rng.normal(size=out.shape))
+        first = net.backward(cache, dout)
+        kept = first.copy()
+        second = net.backward(cache, 2.0 * dout)
+        assert first.shape == net.params.shape and first.dtype == np.float64
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, net.params)
+        assert np.array_equal(first, kept)
+        # linear in dout, and exactly so for a factor of 2
+        assert np.array_equal(second, 2.0 * first)
+        # the last bias gradient is the batch sum of the output gradient
+        assert np.array_equal(first[-2:], dout.sum(axis=0))
 
     def test_mse_loss_grad_formula(self):
         out = np.array([[1.0, 2.0], [3.0, 4.0]])

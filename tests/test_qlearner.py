@@ -177,21 +177,54 @@ class TestTrainStep:
         assert_allclose(loss, (q_before - 2.0) ** 2, rtol=1e-10)
 
 
+class TestGreedyAction:
+    @pytest.mark.parametrize("q", [
+        [0.3, 0.3], [-1.0, -1.0], [0.0, -0.0], [np.inf, np.inf],
+        [np.nan, 0.2], [0.2, np.nan], [np.nan, np.nan],
+        [np.nan, np.inf], [-np.inf, np.nan], [0.1, 0.4], [0.4, 0.1],
+    ])
+    def test_matches_argmax(self, q):
+        # ties and a NaN in q[0] go to action 0, as np.argmax has them
+        q = np.array(q)
+        assert qlearner.greedy_action(q) == int(np.argmax(q))
+
+    def test_matches_argmax_on_random_values(self):
+        rng = np.random.default_rng(8)
+        for q in rng.normal(size=(500, 2)):
+            assert qlearner.greedy_action(q) == int(np.argmax(q))
+
+
+def rows(values, action=0):
+    """Replay rows holding one-element states ``values``, as one push."""
+    values = np.asarray(values, dtype=np.float64)
+    return values[:, None], np.full(values.size, action), values
+
+
 class TestReplayMemory:
     def test_capacity_evicts_oldest(self):
         mem = qlearner.ReplayMemory(capacity=3)
-        for i in range(5):
-            mem.push(np.array([float(i)]), 0, float(i))
+        mem.push(*rows([0.0, 1.0]))
+        mem.push(*rows([2.0, 3.0, 4.0]))
         rng = np.random.default_rng(0)
         states, _, _ = mem.sample(rng, 5)
         assert len(states) == 3
         kept = {int(s[0]) for s in states}
         assert kept == {2, 3, 4}
 
+    def test_push_longer_than_capacity_keeps_last_rows(self):
+        mem = qlearner.ReplayMemory(capacity=3)
+        mem.push(*rows([0.0]))
+        mem.push(*rows(np.arange(1.0, 8.0)))
+        states, _, targets = mem.sample(np.random.default_rng(0), 3)
+        assert sorted(targets) == [5.0, 6.0, 7.0]
+        # the oldest row is still the one after the next push's slot
+        mem.push(*rows([8.0]))
+        states, _, _ = mem.sample(np.random.default_rng(0), 3)
+        assert sorted(int(s[0]) for s in states) == [6, 7, 8]
+
     def test_sample_without_replacement(self):
         mem = qlearner.ReplayMemory(capacity=10)
-        for i in range(10):
-            mem.push(np.array([float(i)]), 1, 0.0)
+        mem.push(*rows(np.arange(10.0), action=1))
         rng = np.random.default_rng(1)
         states, _, _ = mem.sample(rng, 10)
         got = [int(s[0]) for s in states]
@@ -199,7 +232,7 @@ class TestReplayMemory:
 
     def test_sample_clamps_to_size(self):
         mem = qlearner.ReplayMemory(capacity=10)
-        mem.push(np.zeros(2), 0, 1.0)
+        mem.push(np.zeros((1, 2)), [0], [1.0])
         rng = np.random.default_rng(2)
         states, actions, targets = mem.sample(rng, 16)
         assert len(states) == len(actions) == len(targets) == 1
@@ -210,16 +243,20 @@ class TestReplayMemory:
             mem.sample(np.random.default_rng(0), 2)
 
     def test_same_rows_as_fifo_list(self):
-        # 2.5 times the capacity: the ring fills, then wraps past its start
+        # episodes of 1 to 60 rows into a ring of 40: it fills, wraps past
+        # its start, and takes one push longer than itself
         cap = 40
         mem, ref = qlearner.ReplayMemory(cap), DequeReplay(cap)
         rng_mem = np.random.default_rng(12)
         rng_ref = np.random.default_rng(12)
         data_rng = np.random.default_rng(13)
-        for i in range(cap * 5 // 2):
-            row = (data_rng.normal(size=3), i % 2, data_rng.normal())
-            mem.push(*row)
-            ref.push(*row)
+        for n in (1, 7, 16, 3, 25, 60, 2, 11, 40, 5):
+            states = data_rng.normal(size=(n, 3))
+            actions = data_rng.integers(0, 2, size=n)
+            targets = data_rng.normal(size=n)
+            mem.push(states, actions, targets)
+            for row in zip(states, actions, targets):
+                ref.push(*row)
             for k in (1, 16, cap):
                 states, actions, targets = mem.sample(rng_mem, k)
                 want = ref.sample(rng_ref, k)
@@ -229,9 +266,17 @@ class TestReplayMemory:
 
     def test_rejects_state_of_another_shape(self):
         mem = qlearner.ReplayMemory(capacity=4)
-        mem.push(np.zeros(3), 0, 1.0)
+        mem.push(np.zeros((1, 3)), [0], [1.0])
         with pytest.raises(ValueError):
-            mem.push(np.zeros(1), 0, 1.0)
+            mem.push(np.zeros((1, 1)), [0], [1.0])
+
+    def test_rejects_malformed_rows(self):
+        mem = qlearner.ReplayMemory(capacity=4)
+        with pytest.raises(ValueError):
+            mem.push(np.zeros(3), [0], [1.0])  # one state, not a row of them
+        with pytest.raises(ValueError):
+            mem.push(np.zeros((2, 3)), [0, 1], [1.0])
+        assert mem.states is None
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
