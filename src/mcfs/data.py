@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,13 +108,15 @@ class Split:
     test: Dataset
 
 
-def load_csv(path: str, label_col: str) -> Dataset:
+def load_csv(path: str | os.PathLike, label_col: str) -> Dataset:
     """Load a headed CSV into a Dataset.
 
     All columns except ``label_col`` must be numeric.  Label values may be
     arbitrary strings; they are mapped to class ids in order of first
-    appearance.  Malformed cells are rejected with their location.
+    appearance.  Malformed cells, empty labels among them, are rejected
+    with their location.
     """
+    path = os.fspath(path)
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -146,14 +149,14 @@ def load_csv(path: str, label_col: str) -> Dataset:
             vals = np.empty(len(feature_names))
             j = 0
             for i, cell in enumerate(record):
-                if i == label_idx:
-                    raw_labels.append(cell.strip())
-                    continue
                 text = cell.strip()
                 if not text:
                     raise DataError(
                         f"{path!r} row {r}, column {header[i]!r}: empty cell"
                     )
+                if i == label_idx:
+                    raw_labels.append(text)
+                    continue
                 try:
                     v = float(text)
                 except ValueError:

@@ -5,14 +5,15 @@ behavior policy picking select/deselect per feature.  Importance weights
 against the softmax target policy grow incrementally.  Early stopping cuts
 degenerate episodes short: a step survives with probability
 min(1, importance / stop_threshold) and the walk stops with the
-complement.  The walk needs no reward, so the episode is scored after it:
-each step gets its subset's reward, advised by an information-theoretic
-potential for the first advise_steps environment steps.  Each step's
-survival is then computed once, over the episode's importance array, and
-it both reweights the steps (rejection control) and feeds the replay
-memory's mean survival.  Weighted returns train the value net from
-replay.  The final greedy selection is the same walk with an argmax,
-never-stopping policy.
+complement.  The walk needs no reward: it records the subset after each
+step, and the episode is scored from that record once it ends.  Each step
+gets its subset's reward, advised by an information-theoretic potential
+for the first advise_steps environment steps.  The stop rule computes a
+non-final step's survival on a float, and training computes every step's
+survival again over the importance array, which reweights the steps
+(rejection control) and feeds the replay memory's mean survival.
+Weighted returns train the value net from replay.  The final greedy
+selection is the same walk with an argmax, never-stopping policy.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class EpisodeStep:
 class Episode:
     steps: list
     stopped_early: bool
-    final_subset: frozenset
+    subsets: list  # the subset after each step's decision
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,6 @@ class RunReport:
     best_eval: float
     greedy_subset: tuple
     curves: list
-    episodes_completed: int
-    total_steps: int
     decision_counts: tuple
     total_wall_ms: float
 
@@ -235,7 +234,7 @@ def rerank_features(counts: np.ndarray) -> list:
 
 def traverse_episode(qnet, order, represent: Callable, choose: Callable,
                      stop: Callable) -> Episode:
-    """Walk the features once, recording states, decisions, and weights.
+    """Walk the features once, recording states, decisions, weights, subsets.
 
     ``choose(q)`` returns the (action, behavior probability) for the Q
     values of the current state.  ``stop(importance)`` is asked after every
@@ -251,6 +250,7 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
     target = qlearner.target_policy(q)
     running = 1.0
     steps = []
+    subsets = []
     stopped = False
     last = len(order) - 1
     for t, feat in enumerate(order):
@@ -264,10 +264,11 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
             s = represent(subset)
             q = qlearner.q_values(qnet, s)
             target = qlearner.target_policy(q)
+        subsets.append(subset)
         if t < last and stop(running):
             stopped = True
             break
-    return Episode(steps=steps, stopped_early=stopped, final_subset=subset)
+    return Episode(steps=steps, stopped_early=stopped, subsets=subsets)
 
 
 def final_selection(qnet, represent: Callable, n_features: int):
@@ -282,7 +283,7 @@ def final_selection(qnet, represent: Callable, n_features: int):
         choose=lambda q: (qlearner.greedy_action(q), 1.0),
         stop=lambda importance: False,
     )
-    return episode.final_subset
+    return episode.subsets[-1]
 
 
 def _reward_tables(train) -> dict:
@@ -370,20 +371,17 @@ class _Trainer:
         the last step's raw reward, the reward of the final subset.
         """
         cfg = self.config
-        advised = np.empty(len(episode.steps))
-        subset = frozenset()
-        for i, step in enumerate(episode.steps):
-            new_subset = (subset | {step.feature} if step.action == 1
-                          else subset)
-            raw = self.reward(new_subset)
-            advised[i] = raw
-            if start_step + i + 1 <= cfg.advise_steps:
-                advised[i] = shaped_reward(
-                    raw, self.utility(subset), self.utility(new_subset),
-                    cfg.gamma, cfg.shaping_coeff,
-                )
-            subset = new_subset
-        return raw, advised
+        subsets = episode.subsets
+        raw = [self.reward(s) for s in subsets]
+        advised = np.array(raw, dtype=np.float64)
+        n = min(len(subsets), cfg.advise_steps - start_step)
+        if n > 0:
+            # the subset before step i is the subset after step i - 1
+            u = np.array([self.utility(s)
+                          for s in [frozenset(), *subsets[:n]]])
+            advised[:n] = shaped_reward(advised[:n], u[:-1], u[1:],
+                                        cfg.gamma, cfg.shaping_coeff)
+        return raw[-1], advised
 
 
 def train(split, config: TrainConfig) -> RunReport:
@@ -437,7 +435,7 @@ def train(split, config: TrainConfig) -> RunReport:
 
         if final_eval > best_eval:
             best_eval = final_eval
-            best_subset = episode.final_subset
+            best_subset = episode.subsets[-1]
         curves.append(EpisodeStats(
             episode=ep,
             eval=float(final_eval),
@@ -453,8 +451,6 @@ def train(split, config: TrainConfig) -> RunReport:
         best_eval=float(best_eval),
         greedy_subset=tuple(sorted(greedy)),
         curves=curves,
-        episodes_completed=len(curves),
-        total_steps=tr.global_step,
         decision_counts=tuple(int(c) for c in tr.counts),
         total_wall_ms=(time.perf_counter() - t_start) * 1000.0,
     )

@@ -138,8 +138,8 @@ def report_to_dict(run, feature_names, dataset, baselines) -> dict:
         "test_metrics": baselines["selected"]["metrics"],
         "baselines": baselines,
         "curves": [asdict(c) for c in run.curves],
-        "episodes_completed": run.episodes_completed,
-        "total_steps": run.total_steps,
+        "episodes_completed": len(run.curves),
+        "total_steps": sum(run.decision_counts),
         "decision_counts": list(run.decision_counts),
         "seed": run.config.seed,
         "total_wall_ms": run.total_wall_ms,

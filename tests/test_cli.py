@@ -331,6 +331,16 @@ class TestRunCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_data_errors_name_the_file_as_a_string(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,label\n1,2,0\n3,4,1\n")
+        code = cli.main(["run", "--data", str(path), "--label-col", "nope",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"label column 'nope' not found in {str(path)!r}" in err
+        assert "PosixPath" not in err
+
     def test_malformed_csv_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,label\n1,x,0\n2,3,1\n")

@@ -139,6 +139,15 @@ class TestCsv:
         with pytest.raises(data.DataError, match="row 2, column 'b'"):
             data.load_csv(path, "label")
 
+    def test_empty_label_points_at_row_and_column(self, tmp_path):
+        # an empty label is a missing value, not a class of its own
+        path = tmp_path / "ds.csv"
+        path.write_text("a,b,label\n1,2,0\n3,4,1\n1,1,0\n4,3,1\n"
+                        "0,2,0\n2,2,\n")
+        with pytest.raises(data.DataError,
+                           match="row 6, column 'label': empty cell"):
+            data.load_csv(path, "label")
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("a,b,label\n1,2,0\nx,3,1\n")

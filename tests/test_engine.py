@@ -296,11 +296,20 @@ class TestTraverseEpisode:
         ep = toy_traverse(cfg, n=10, qnet=qnet, seed=7)
         assert_importance_recurrence(ep, qnet, cfg.epsilon)
 
-    def test_subset_tracks_select_actions(self):
-        tr = engine._Trainer(small_split(), quick_config())
-        ep = random_walk(tr, seed=11)
-        taken = {s.feature for s in ep.steps if s.action == 1}
-        assert ep.final_subset == frozenset(taken)
+    @pytest.mark.parametrize("stop_threshold", [0.0, 1.0])
+    def test_subsets_are_the_running_union_of_selects(self, stop_threshold):
+        cfg = engine.TrainConfig(stop_threshold=stop_threshold, epsilon=0.4)
+        stopped = []
+        for seed in range(8):
+            ep = toy_traverse(cfg, n=12, seed=seed)
+            assert len(ep.subsets) == len(ep.steps)
+            for i, sub in enumerate(ep.subsets):
+                taken = {s.feature for s in ep.steps[:i + 1] if s.action}
+                assert sub == frozenset(taken)
+            stopped.append(ep.stopped_early)
+        # the record holds on stopped walks and on full ones
+        assert any(stopped) == (stop_threshold > 0)
+        assert not all(stopped)
 
     def test_early_stop_shortens_episode(self):
         cfg = engine.TrainConfig(stop_threshold=1.0, epsilon=0.4)
@@ -394,33 +403,47 @@ def random_walk(tr, seed):
     )
 
 
-def one_step_episode(feature=0, action=1):
-    step = engine.EpisodeStep(
-        feature=feature, state=np.zeros(1), action=action, importance=1.0,
-    )
-    return engine.Episode(steps=[step], stopped_early=False,
-                          final_subset=frozenset({feature} if action else ()))
+def scripted_episode(decisions, subsets):
+    """An episode of (feature, action) steps and the subset after each."""
+    steps = [
+        engine.EpisodeStep(feature=f, state=np.zeros(1), action=a,
+                           importance=1.0)
+        for f, a in decisions
+    ]
+    return engine.Episode(steps=steps, stopped_early=False,
+                          subsets=[frozenset(sub) for sub in subsets])
+
+
+ONE_SELECT = ([(0, 1)], [{0}])
+SELECT_SKIP_SELECT = ([(0, 1), (1, 0), (2, 1)], [{0}, {0}, {0, 2}])
 
 
 class TestScore:
-    @pytest.mark.parametrize("advise_steps, start_step, expected", [
-        pytest.param(100, 0, 3.7, id="inside"),  # 1 + 0.9 * 3 - 0
-        pytest.param(3, 10, 1.0, id="after"),
-        pytest.param(5, 4, 3.7, id="at_end"),  # global step 5
-        pytest.param(0, 0, 1.0, id="past_end"),  # global step 1, window 0
+    @pytest.mark.parametrize("walk, advise_steps, start_step, expected", [
+        pytest.param(ONE_SELECT, 100, 0, [3.7], id="inside"),  # 1 + 0.9 * 3
+        pytest.param(ONE_SELECT, 3, 10, [1.0], id="after"),
+        pytest.param(ONE_SELECT, 5, 4, [3.7], id="at_end"),  # global step 5
+        # global step 1, window 0
+        pytest.param(ONE_SELECT, 0, 0, [1.0], id="past_end"),
+        # global steps 2 and 3 are advised, 4 is not: 1 + 0.9 * 3 - 0,
+        # 1 + 0.9 * 3 - 3, then the raw reward
+        pytest.param(SELECT_SKIP_SELECT, 3, 1, [3.7, 0.7, 1.0],
+                     id="closes_mid_episode"),
     ])
-    def test_advice_window(self, advise_steps, start_step, expected):
+    def test_advice_window(self, walk, advise_steps, start_step, expected):
         tr = engine._Trainer(small_split(), quick_config(
             advise_steps=advise_steps, gamma=0.9, shaping_coeff=1.0,
         ))
         looked_up = []
         tr.reward = lambda sub: 1.0
         tr.utility = lambda sub: looked_up.append(sub) or 3.0 * len(sub)
-        final_eval, advised = tr.score(one_step_episode(), start_step)
+        ep = scripted_episode(*walk)
+        final_eval, advised = tr.score(ep, start_step)
         assert final_eval == 1.0
-        assert_allclose(advised, [expected], rtol=1e-12)
-        # no utility lookup outside the window
-        assert bool(looked_up) == (start_step + 1 <= advise_steps)
+        assert_allclose(advised, expected, rtol=1e-12)
+        # utilities only of the subsets before and after advised steps
+        window = ep.subsets[:max(0, advise_steps - start_step)]
+        assert set(looked_up) == ({frozenset(), *window} if window else set())
 
     def test_advice_window_shapes_rewards(self):
         shaped = engine._Trainer(small_split(), quick_config(
@@ -451,9 +474,36 @@ class TestScore:
                 sub = sub | {s.feature}
             assert r == tr.reward(sub)
         assert final_eval == rewards.eval_reward(
-            ep.final_subset, tr.split, tr.config.weights, tr.config.seed,
+            ep.subsets[-1], tr.split, tr.config.weights, tr.config.seed,
             n_trees=tr.config.eval_trees,
         )
+
+    def test_rewards_looked_up_once_per_step_in_walk_order(self):
+        tr = engine._Trainer(small_split(), quick_config(advise_steps=0))
+        ep = random_walk(tr, seed=11)
+        looked_up = []
+        reward = tr.reward
+        tr.reward = lambda sub: looked_up.append(sub) or reward(sub)
+        tr.score(ep, 0)
+        assert looked_up == ep.subsets
+
+    def test_new_subsets_evaluated_once_in_first_seen_order(
+            self, monkeypatch):
+        evaluated = []
+
+        def spy(subset, split, weights, seed, n_trees):
+            evaluated.append(subset)
+            return float(len(subset))
+
+        monkeypatch.setattr(engine, "_eval_reward", spy)
+        # a fresh split, so its reward table starts empty
+        tr = engine._Trainer(small_split(), quick_config(advise_steps=0))
+        walks = [random_walk(tr, seed) for seed in (11, 12, 13)]
+        for ep in walks:
+            tr.score(ep, 0)
+        seen = [sub for ep in walks for sub in ep.subsets]
+        assert len(set(seen)) < len(seen)  # deselects repeat a subset
+        assert evaluated == list(dict.fromkeys(seen))
 
 
 
@@ -519,9 +569,10 @@ class TestTrainLoop:
     def test_report_shape_and_invariants(self):
         sp = small_split()
         rep = engine.train(sp, quick_config())
-        assert rep.episodes_completed == len(rep.curves) == 12
+        assert len(rep.curves) == 12
         assert rep.best_eval == max(c.eval for c in rep.curves)
-        assert sum(rep.decision_counts) == rep.total_steps
+        # one decision per step, so the counts add up to the steps taken
+        assert sum(rep.decision_counts) == sum(c.length for c in rep.curves)
         assert all(1 <= c.length <= 6 for c in rep.curves)
         assert all(np.isfinite(c.loss) for c in rep.curves)
         assert set(rep.best_subset) <= set(range(6))
@@ -563,9 +614,10 @@ class TestTrainLoop:
         sp = small_split()
         rep = engine.train(sp, quick_config(episodes=200,
                                             max_global_steps=30))
-        assert rep.episodes_completed < 200
+        assert len(rep.curves) < 200
+        assert sum(rep.decision_counts) == sum(c.length for c in rep.curves)
         # the budget check runs between episodes, so one may overshoot
-        assert rep.total_steps <= 30 + 6
+        assert sum(rep.decision_counts) <= 30 + 6
 
     def test_state_is_the_training_folds_meta_stats(self):
         sp = small_split()

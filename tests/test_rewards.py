@@ -160,6 +160,20 @@ class TestShapedReward:
         out = rewards.shaped_reward(0.0, 2.0, 2.0, 0.5, 1.0)
         assert_allclose(out, -1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("gamma, coeff", [
+        (0.9, 1.0), (0.0, 0.5), (1.0, 1e6), (0.37, 0.0),
+    ])
+    def test_arrays_match_scalar_calls_bit_for_bit(self, gamma, coeff):
+        # scoring shapes a whole advice window at once
+        rng = np.random.default_rng(5)
+        r, u_now, u_next = rng.normal(size=(3, 200))
+        u_next[:20] = u_now[:20]  # equal potentials, as on a deselect
+        out = rewards.shaped_reward(r, u_now, u_next, gamma, coeff)
+        scalar = [rewards.shaped_reward(float(a), float(b), float(c),
+                                        gamma, coeff)
+                  for a, b, c in zip(r, u_now, u_next)]
+        assert out.tobytes() == np.array(scalar).tobytes()
+
 
 def chain_mdp():
     # state 0 can harvest reward 1 forever or fall into absorbing state 1
