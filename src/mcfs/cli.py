@@ -99,6 +99,16 @@ def _synth_spec(text):
     return n, d, k
 
 
+def _out_dir(text):
+    path = Path(text)
+    # checked here, so that a run is not thrown away at the end
+    if path.exists() and not path.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} exists and is not a directory"
+        )
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     src = common.add_mutually_exclusive_group(required=True)
@@ -118,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             kind = {"type": _FIELD_TYPES[name], "default": default}
         common.add_argument(flag, dest=name, **kind)
-    common.add_argument("--out", type=Path, default=Path("mcfs_out"),
+    # a string default goes through the type check too
+    common.add_argument("--out", type=_out_dir, default="mcfs_out",
                         help="directory for report files")
 
     parser = argparse.ArgumentParser(

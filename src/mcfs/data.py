@@ -118,7 +118,9 @@ def load_csv(path: str | os.PathLike, label_col: str) -> Dataset:
     """
     path = os.fspath(path)
     try:
-        fh = open(path, newline="")
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put
+        # before the first column's name, and reads plain UTF-8 unchanged
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path!r}: {exc}") from exc
     with fh:

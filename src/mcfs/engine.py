@@ -8,10 +8,10 @@ min(1, importance / stop_threshold) and the walk stops with the
 complement.  The walk needs no reward: it records the subset after each
 step, and the episode is scored from that record once it ends.  Each step
 gets its subset's reward, advised by an information-theoretic potential
-for the first advise_steps environment steps.  The stop rule computes a
-non-final step's survival on a float, and training computes every step's
-survival again over the importance array, which reweights the steps
-(rejection control) and feeds the replay memory's mean survival.
+for the first advise_steps environment steps.  The walk computes each
+step's survival once and records it; the stop rule reads it, and training
+reads the record to reweight the steps (rejection control) and to feed
+the replay memory's mean survival.
 Weighted returns train the value net from replay.  The final greedy
 selection is the same walk with an argmax, never-stopping policy.
 """
@@ -48,13 +48,15 @@ class EpisodeStep:
     """One visit: the state seen, the decision taken, and its bookkeeping.
 
     ``importance`` is the running product of target/behavior probability
-    ratios up to and including this step.
+    ratios up to and including this step, and ``survival`` its chance of
+    surviving early stopping.
     """
 
     feature: int
     state: np.ndarray
     action: int
     importance: float
+    survival: float
 
 
 @dataclass(eq=False)
@@ -149,30 +151,19 @@ class RunReport:
     total_wall_ms: float
 
 
-def survival_probability(importance, stop_threshold: float):
+def survival_probability(importance: float, stop_threshold: float) -> float:
     """Chance that a step survives early stopping.
 
     That is min(1, importance / stop_threshold), and the walk stops with the
     complement.  A zero threshold disables stopping: every step survives.
-    ``importance`` may be an array, or a float, which the walk asks about
-    once a step and which gets a float back without building an array.
     """
-    if isinstance(importance, float):
-        if importance < 0 or stop_threshold < 0:
-            raise ValueError(
-                "importance and stop_threshold must be non-negative"
-            )
-        if stop_threshold == 0:
-            return 1.0
-        ratio = importance / stop_threshold
-        # a NaN ratio stays NaN, as it does under np.minimum
-        return 1.0 if ratio > 1.0 else ratio
-    imp = np.asarray(importance, dtype=np.float64)
-    if stop_threshold < 0 or (imp < 0).any():
+    if importance < 0 or stop_threshold < 0:
         raise ValueError("importance and stop_threshold must be non-negative")
     if stop_threshold == 0:
-        return np.ones_like(imp)
-    return np.minimum(1.0, imp / stop_threshold)
+        return 1.0
+    ratio = importance / stop_threshold
+    # a NaN ratio stays NaN, as it does under np.minimum
+    return 1.0 if ratio > 1.0 else ratio
 
 
 def incremental_weight(prev: float, target_prob: float,
@@ -228,16 +219,16 @@ def rerank_features(counts: np.ndarray) -> list:
     ``counts`` holds how many select/deselect decisions each feature has
     received so far.
     """
-    order = np.lexsort((np.arange(counts.size), counts))
-    return [int(i) for i in order]
+    return np.argsort(counts, kind="stable").tolist()
 
 
 def traverse_episode(qnet, order, represent: Callable, choose: Callable,
-                     stop: Callable) -> Episode:
-    """Walk the features once, recording states, decisions, weights, subsets.
+                     stop_threshold: float, stop: Callable) -> Episode:
+    """Walk the features once, recording each step and the subset after it.
 
     ``choose(q)`` returns the (action, behavior probability) for the Q
-    values of the current state.  ``stop(importance)`` is asked after every
+    values of the current state.  Each step's survival is computed against
+    ``stop_threshold``, and ``stop(survival)`` is asked after every
     non-final step and ends the episode when true.  The net does not change
     during a walk and the state changes only with the subset, so the state,
     its Q values and the target policy are computed once at the start and
@@ -256,8 +247,10 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
     for t, feat in enumerate(order):
         action, b_prob = choose(q)
         running = incremental_weight(running, float(target[action]), b_prob)
+        survival = survival_probability(running, stop_threshold)
         steps.append(EpisodeStep(
             feature=int(feat), state=s, action=action, importance=running,
+            survival=survival,
         ))
         if action == 1:
             subset = subset | {feat}
@@ -265,7 +258,7 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
             q = qlearner.q_values(qnet, s)
             target = qlearner.target_policy(q)
         subsets.append(subset)
-        if t < last and stop(running):
+        if t < last and stop(survival):
             stopped = True
             break
     return Episode(steps=steps, stopped_early=stopped, subsets=subsets)
@@ -281,7 +274,7 @@ def final_selection(qnet, represent: Callable, n_features: int):
     episode = traverse_episode(
         qnet, range(n_features), represent,
         choose=lambda q: (qlearner.greedy_action(q), 1.0),
-        stop=lambda importance: False,
+        stop_threshold=0.0, stop=lambda survival: False,
     )
     return episode.subsets[-1]
 
@@ -327,8 +320,8 @@ class _Trainer:
         self.replay_rng = np.random.default_rng(replay_ss)
         self.memory = qlearner.ReplayMemory(config.memory_capacity)
         self.survival_window = deque(maxlen=config.memory_capacity)
-        self.counts = np.zeros(n, dtype=np.int64)  # decisions per feature
-        self.global_step = 0
+        # decisions per feature; one per step, so they sum to the steps
+        self.counts = np.zeros(n, dtype=np.int64)
         self.rewards = split.train.derived(_reward_tables).setdefault(
             (split.test, config.weights, config.seed, config.eval_trees), {}
         )
@@ -398,24 +391,23 @@ def train(split, config: TrainConfig) -> RunReport:
     else:
         choose = lambda q: qlearner.random_policy(rng)
     # the walk asks stop after choose, so each step draws its action first
-    stop = lambda importance: rng.random() < 1.0 - survival_probability(
-        importance, config.stop_threshold
-    )
+    stop = lambda survival: rng.random() < 1.0 - survival
 
     for ep in range(1, config.episodes + 1):
-        if tr.global_step >= config.max_global_steps:
+        steps_taken = int(tr.counts.sum())
+        if steps_taken >= config.max_global_steps:
             break
         ep_start = time.perf_counter()
         episode = traverse_episode(
-            tr.qnet, rerank_features(tr.counts), tr.represent, choose, stop
+            tr.qnet, rerank_features(tr.counts), tr.represent, choose,
+            config.stop_threshold, stop,
         )
-        final_eval, advised = tr.score(episode, tr.global_step)
+        final_eval, advised = tr.score(episode, steps_taken)
         # a feature is visited at most once per episode
         tr.counts[[s.feature for s in episode.steps]] += 1
-        tr.global_step += len(episode.steps)
 
         importance = np.array([s.importance for s in episode.steps])
-        survival = survival_probability(importance, config.stop_threshold)
+        survival = np.array([s.survival for s in episode.steps])
         # the mean survival over replay-memory steps, or over the episode's
         # own steps while the memory is still empty
         window = np.asarray(tr.survival_window or survival)

@@ -2,11 +2,13 @@
 
 Each test prints a single PASS/FAIL verdict line (shown with -s, or in the
 captured output when a check fails).  Long runs are cached and shared
-between criteria so the gate stays within its runtime budgets.
+between criteria so the gate stays within its runtime budgets, and the ten
+runs behind C5-C7 fan out over one worker process per core.
 """
 
-import functools
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -87,7 +89,8 @@ class TestC3RejectionControl:
             n = 100_000
             actions = rng.integers(0, 2, size=n)
             rho = pi[actions] / b[actions]
-            surv = engine.survival_probability(rho, v)
+            surv = np.array([engine.survival_probability(w, v)
+                             for w in rho.tolist()])
             keep = rng.random(n) < surv
             p_hat = float(surv.mean())
 
@@ -97,7 +100,7 @@ class TestC3RejectionControl:
             for j in range(0, kept_idx.size, max(1, kept_idx.size // 25)):
                 one = rho[kept_idx[j:j + 1]]
                 single = engine.recalc_weights(
-                    one, engine.survival_probability(one, v), p_hat,
+                    one, engine.survival_probability(float(one[0]), v), p_hat,
                 )[0]
                 assert abs(single - weights[j]) <= 1e-12 * abs(single)
 
@@ -158,8 +161,7 @@ class TestC4GradientCorrectness:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def benchmark_payload(seed):
+def _benchmark_run(seed):
     """Full-scale recovery run: 500x20 with 5 informative columns."""
     ds, informative = data.synth_classification(500, 20, 5, seed=seed)
     meta = {
@@ -177,8 +179,7 @@ def benchmark_payload(seed):
 PAIRED_ARMS = ((0.5, "greedy"), (0.0, "greedy"), (0.5, "random"))
 
 
-@functools.lru_cache(maxsize=None)
-def paired_payloads(seed):
+def _paired_run(seed):
     """Paired-study runs of one seed, by arm: one three-arm sweep.
 
     The arms share one generator, one inner fold with its reward table,
@@ -208,10 +209,55 @@ def paired_payloads(seed):
 
 SEEDS = (0, 1, 2, 3, 4)
 
+# (job name, seed) -> (result, seconds the job took in the process that
+# ran it)
+_RUNS = {}
+
+
+def _timed(job, seed):
+    t0 = time.perf_counter()
+    result = job(seed)
+    return result, time.perf_counter() - t0
+
+
+def _run(job, seed):
+    key = (job.__name__, seed)
+    if key not in _RUNS:
+        _RUNS[key] = _timed(job, seed)
+    return _RUNS[key]
+
+
+def benchmark_payload(seed):
+    return _run(_benchmark_run, seed)[0]
+
+
+def paired_payloads(seed):
+    return _run(_paired_run, seed)[0]
+
+
+@pytest.fixture(scope="module")
+def fanned_out():
+    """Run every C5-C7 job not yet cached at once, one worker per core.
+
+    The jobs share no data, and each report depends only on its inputs, so
+    a worker's payload equals the one this process would build.
+    """
+    todo = [(job, seed) for job in (_benchmark_run, _paired_run)
+            for seed in SEEDS
+            if (job.__name__, seed) not in _RUNS]
+    workers = min(len(todo), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        # spawn, not fork: forking a process that runs threads is unsafe
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=spawn) as pool:
+            futures = {(job.__name__, seed): pool.submit(_timed, job, seed)
+                       for job, seed in todo}
+            _RUNS.update((key, f.result()) for key, f in futures.items())
+
 
 class TestC5EndToEndRecovery:
-    def test_selected_subset_recovers_signal(self):
-        t0 = time.perf_counter()
+    def test_selected_subset_recovers_signal(self, fanned_out):
         sel, allf, rand, overlap = [], [], [], []
         for seed in SEEDS:
             p = benchmark_payload(seed)
@@ -223,7 +269,8 @@ class TestC5EndToEndRecovery:
                 set(p["best_subset"]["indices"])
                 & set(p["dataset"]["informative"])
             ))
-        dt = time.perf_counter() - t0
+        # the five runs' own times, wherever they ran
+        dt = sum(_run(_benchmark_run, seed)[1] for seed in SEEDS)
         med_sel = float(np.median(sel))
         med_all = float(np.median(allf))
         med_rand = float(np.median(rand))
@@ -242,7 +289,8 @@ class TestC5EndToEndRecovery:
 
 
 class TestC6EarlyStoppingEfficiency:
-    def test_stopping_shortens_episodes_without_losing_eval(self):
+    def test_stopping_shortens_episodes_without_losing_eval(self,
+                                                            fanned_out):
         len_stop, len_plain, eval_stop, eval_plain = [], [], [], []
         for seed in SEEDS:
             p_stop = paired_payloads(seed)[0.5, "greedy"]
@@ -266,7 +314,7 @@ class TestC6EarlyStoppingEfficiency:
 
 
 class TestC7BehaviorPolicyStudy:
-    def test_greedy_behavior_not_worse_than_random(self):
+    def test_greedy_behavior_not_worse_than_random(self, fanned_out):
         greedy = [paired_payloads(s)[0.5, "greedy"]["best_eval"]
                   for s in SEEDS]
         random_ = [paired_payloads(s)[0.5, "random"]["best_eval"]

@@ -146,6 +146,36 @@ class TestFlagParsing:
         assert exc.value.code == 2
         assert "MCFS_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--param", "stop-threshold", "--values", "0.2,0.8"],
+    ], ids=["run", "sweep"])
+    def test_out_naming_a_file_exits_2_before_training(
+            self, command, tmp_path, monkeypatch, capsys):
+        def no_training(*args):
+            raise AssertionError("training started with an unusable --out")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_data)
+        monkeypatch.setattr(engine, "train", no_training)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--synthetic", "40,4,2", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "not a directory" in err
+        assert out.read_text() == "not a directory"
+
+    def test_default_out_naming_a_file_exits_2(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr(cli, "_load_dataset", no_data)
+        monkeypatch.chdir(tmp_path)
+        Path("mcfs_out").write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--synthetic", "40,4,2"])
+        assert exc.value.code == 2
+        assert "'mcfs_out' exists" in capsys.readouterr().err
+
     def test_mode_flags_map_to_config(self):
         parser = cli.build_parser()
         args = parser.parse_args([

@@ -173,6 +173,19 @@ class TestCsv:
         assert_array_equal(ds.labels, [0, 1, 0, 2])
         assert ds.n_classes == 3
 
+    @pytest.mark.parametrize("first", ["label", "a"])
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path, first):
+        # spreadsheets save "CSV UTF-8" with a BOM before the first name
+        others = [c for c in ("label", "a", "b") if c != first]
+        header = ",".join([first, *others])
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + header + "\n1,2,0\n3,4,1\n")
+                         .encode("utf-8"))
+        ds = data.load_csv(path, "label")
+        assert ds.feature_names == [c for c in (first, *others)
+                                    if c != "label"]
+        assert ds.n_samples == 2
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises((data.DataError, OSError)):
             data.load_csv(tmp_path / "absent.csv", "label")

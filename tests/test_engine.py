@@ -58,24 +58,18 @@ class TestStopProbability:
     def test_zero_threshold_disables(self):
         for w in (0.0, 0.2, 5.0):
             assert stop_chance(w, 0.0) == 0.0
-        assert_array_equal(
-            engine.survival_probability(np.array([0.0, 0.2, 5.0]), 0.0),
-            [1.0, 1.0, 1.0],
-        )
 
     def test_always_a_probability(self):
         rng = np.random.default_rng(0)
-        surv = engine.survival_probability(rng.uniform(0, 3, size=200),
-                                           rng.uniform(0, 1))
-        assert np.all((0.0 <= surv) & (surv <= 1.0))
+        v = rng.uniform(0, 1)
+        for w in rng.uniform(0, 3, size=200).tolist():
+            assert 0.0 <= engine.survival_probability(w, v) <= 1.0
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
             engine.survival_probability(-0.1, 0.5)
         with pytest.raises(ValueError):
             engine.survival_probability(0.5, -0.1)
-        with pytest.raises(ValueError):
-            engine.survival_probability(np.array([0.3, -0.1]), 0.5)
 
     def test_complements_survival(self):
         # the same stop decision, bit for bit, as the scalar stop rule
@@ -88,38 +82,22 @@ class TestStopProbability:
     # importances at 0, below, at and above each threshold
     FLOAT_IMPORTANCES = (0.0, 0.2, 0.5, 0.7, 1.4, 3.0)
 
-    def test_float_matches_array_and_scalar_rule(self):
-        # Python floats, as the walk passes them; iterating an array would
-        # pass np.float64 items instead
-        imp = np.array(self.FLOAT_IMPORTANCES)
+    def test_float_matches_clipped_ratio_and_scalar_rule(self):
         for v in (0.0, 0.5, 0.7):
-            surv = engine.survival_probability(imp, v)
-            for w, s in zip(imp.tolist(), surv.tolist()):
+            for w in self.FLOAT_IMPORTANCES:
                 got = engine.survival_probability(w, v)
                 assert type(got) is float
-                assert got == s
+                assert got == (1.0 if v == 0 else min(1.0, w / v))
                 assert 1.0 - got == stop_probability(w, v)
 
-    def test_float_nan_propagates_as_array(self):
+    def test_float_nan_propagates(self):
         assert np.isnan(engine.survival_probability(float("nan"), 0.5))
         assert engine.survival_probability(float("nan"), 0.0) == 1.0
-        assert np.isnan(engine.survival_probability(
-            np.array([float("nan")]), 0.5
-        )[0])
 
     def test_float_rejects_negative_inputs(self):
         for w, v in ((-0.1, 0.5), (0.5, -0.1), (-0.1, 0.0)):
             with pytest.raises(ValueError):
                 engine.survival_probability(w, v)
-
-    def test_array_matches_scalar_calls(self):
-        rng = np.random.default_rng(2)
-        for v in (*EDGE_THRESHOLDS, 0.37):
-            imp = np.append(random_importances(rng, 60), [0.5, 1.0])
-            surv = engine.survival_probability(imp, v)
-            assert_array_equal(
-                surv, [engine.survival_probability(w, v) for w in imp]
-            )
 
 
 class TestIncrementalWeight:
@@ -190,7 +168,8 @@ class TestComputeReturns:
 def weights_of(importances, stop_threshold, survival_mean=None):
     """Recalculated weights as ``train`` computes them for one episode."""
     imp = np.asarray(importances, dtype=np.float64)
-    surv = engine.survival_probability(imp, stop_threshold)
+    surv = np.array([engine.survival_probability(w, stop_threshold)
+                     for w in imp.tolist()])
     if survival_mean is None:
         survival_mean = float(surv.mean())
     return engine.recalc_weights(imp, surv, survival_mean)
@@ -265,9 +244,9 @@ def toy_traverse(config, n=6, qnet=None, seed=0, represent=None):
         choose = lambda q: qlearner.behavior_policy(q, config.epsilon, rng)
     else:
         choose = lambda q: qlearner.random_policy(rng)
-    stop = lambda w: rng.random() < stop_chance(w, config.stop_threshold)
+    stop = lambda survival: rng.random() < 1.0 - survival
     return engine.traverse_episode(qnet, list(range(n)), represent, choose,
-                                   stop)
+                                   config.stop_threshold, stop)
 
 
 class TestTraverseEpisode:
@@ -321,15 +300,23 @@ class TestTraverseEpisode:
             assert ep.stopped_early == (len(ep.steps) < 12)
 
     def test_stop_asked_after_every_non_final_step(self):
-        asked = []
         rng = np.random.default_rng(0)
-        ep = engine.traverse_episode(
-            qlearner.q_network(4, seed=1), range(4),
-            lambda sub: np.zeros(4),
-            lambda q: qlearner.random_policy(rng),
-            lambda w: asked.append(w) or False,
-        )
-        assert asked == [s.importance for s in ep.steps[:-1]]
+        qnet = qlearner.q_network(4, seed=1)
+        for v in (0.0, 0.7):
+            asked = []
+            ep = engine.traverse_episode(
+                qnet, range(4), lambda sub: np.zeros(4),
+                lambda q: qlearner.behavior_policy(q, 0.3, rng), v,
+                lambda survival: asked.append(survival) or False,
+            )
+            assert asked == [s.survival for s in ep.steps[:-1]]
+            # every step's survival is recorded, the last one included
+            for s in ep.steps:
+                assert s.survival == engine.survival_probability(
+                    s.importance, v
+                )
+            # the behavior differs from the target, so the weights move
+            assert len({s.importance for s in ep.steps}) > 1
 
     def test_one_q_forward_per_state(self, monkeypatch):
         calls = []
@@ -399,7 +386,7 @@ def random_walk(tr, seed):
     rng = np.random.default_rng(seed)
     return engine.traverse_episode(
         tr.qnet, range(tr.split.train.n_features), tr.represent,
-        lambda q: qlearner.random_policy(rng), lambda w: False,
+        lambda q: qlearner.random_policy(rng), 0.0, lambda survival: False,
     )
 
 
@@ -407,7 +394,7 @@ def scripted_episode(decisions, subsets):
     """An episode of (feature, action) steps and the subset after each."""
     steps = [
         engine.EpisodeStep(feature=f, state=np.zeros(1), action=a,
-                           importance=1.0)
+                           importance=1.0, survival=1.0)
         for f, a in decisions
     ]
     return engine.Episode(steps=steps, stopped_early=False,
