@@ -99,14 +99,19 @@ def _synth_spec(text):
     return n, d, k
 
 
-def _out_dir(text):
-    path = Path(text)
-    # checked here, so that a run is not thrown away at the end
-    if path.exists() and not path.is_dir():
-        raise argparse.ArgumentTypeError(
-            f"{text!r} exists and is not a directory"
-        )
-    return path
+def _check_out(parser, out_dir, files):
+    """Exit 2 unless directory ``out_dir`` and its ``files`` can be written.
+
+    Checked before the data loads, so that a run is not thrown away at the
+    end: the nearest existing path on the way to ``out_dir`` must be a
+    directory, and none of the files may exist as one.
+    """
+    known = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not known.is_dir():
+        parser.error(f"{str(known)!r} exists and is not a directory")
+    for name in files:
+        if (out_dir / name).is_dir():
+            parser.error(f"{str(out_dir / name)!r} is a directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             kind = {"type": _FIELD_TYPES[name], "default": default}
         common.add_argument(flag, dest=name, **kind)
-    # a string default goes through the type check too
-    common.add_argument("--out", type=_out_dir, default="mcfs_out",
+    common.add_argument("--out", type=Path, default="mcfs_out",
                         help="directory for report files")
 
     parser = argparse.ArgumentParser(
@@ -283,6 +287,7 @@ def _print_summary(payload):
 def cmd_run(args, parser) -> int:
     workers = _workers(parser)
     config = _config_from_args(args, parser)
+    _check_out(parser, args.out, reports.REPORT_FILES)
     ds, meta = _load_dataset(args)
     [payload] = _run_arms(ds, meta, [config], workers)
     json_path, csv_path = reports.write_report_files(payload, args.out)
@@ -318,15 +323,17 @@ def cmd_sweep(args, parser) -> int:
             first = raw_values[configs.index(config)]
             parser.error(f"--values {first!r} and {raw!r} give the same arm")
         configs.append(config)
+    arm_dirs = [args.out / f"{args.param}={raw}" for raw in raw_values]
+    _check_out(parser, args.out, ["summary.csv"])
+    for arm_dir in arm_dirs:
+        _check_out(parser, arm_dir, reports.REPORT_FILES)
 
     ds, meta = _load_dataset(args)
     payloads = _run_arms(ds, meta, configs, workers)
 
-    out = Path(args.out)
     rows = []
-    for raw, payload in zip(raw_values, payloads):
-        sub_dir = out / f"{args.param}={raw}"
-        reports.write_report_files(payload, sub_dir)
+    for raw, arm_dir, payload in zip(raw_values, arm_dirs, payloads):
+        reports.write_report_files(payload, arm_dir)
         lengths = [c["length"] for c in payload["curves"]]
         rows.append({
             "param": args.param,
@@ -340,8 +347,8 @@ def cmd_sweep(args, parser) -> int:
         print(f"{args.param}={raw}: best_eval={payload['best_eval']:.4f} "
               f"test_acc={payload['test_metrics']['accuracy']:.4f}")
 
-    out.mkdir(parents=True, exist_ok=True)
-    summary = out / "summary.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    summary = args.out / "summary.csv"
     with open(summary, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()

@@ -108,6 +108,18 @@ class Split:
     test: Dataset
 
 
+def _csv_records(fh, path: str):
+    """``csv.reader`` over ``fh``, with a decoding error named by file."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise DataError(
+            f"{path!r} is not UTF-8 text: cannot decode byte 0x{bad:02x} "
+            f"({exc.reason}); save it as UTF-8"
+        ) from None
+
+
 def load_csv(path: str | os.PathLike, label_col: str) -> Dataset:
     """Load a headed CSV into a Dataset.
 
@@ -124,7 +136,7 @@ def load_csv(path: str | os.PathLike, label_col: str) -> Dataset:
     except OSError as exc:
         raise DataError(f"cannot open {path!r}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -7,6 +7,9 @@ Python; the only per-tree loops draw each tree's random numbers.  A
 training fold's bin edges and codes are computed once for all its columns
 and kept on the dataset (``Dataset.derived``).
 
+Nodes stay in growth order, so a batch's trees interleave; prediction
+starts at each tree's root and follows child links only.
+
 Each level's split search counts one joint (class, slot, candidate, bin)
 histogram, then scores it in blocks of consecutive slots, the cache-aware
 blocks of XGBoost (Chen & Guestrin, KDD 2016, section 4.2).  Scored a
@@ -49,15 +52,15 @@ _SCORE_CELLS = 16_384
 class ForestModel:
     """Bagged CART trees in flat structure-of-arrays form.
 
-    Tree t owns the nodes from ``roots[t]`` up to the next tree's root,
-    root first, then level by level, each level in the order its parents
-    split.  ``feature[i]`` is the original column id tested at node i, or
-    -1 for a leaf.  Rows whose binned code in that column is
-    <= ``split_bin[i]`` go to ``left[i]`` and the others to
-    ``left[i] + 1``: siblings are adjacent, so there is no right array.
-    A leaf has ``split_bin`` and ``left`` -1 and votes for ``leaf_class``,
-    the argmax of its class histogram; inner nodes have ``leaf_class`` -1.
-    ``edges`` maps each subset column to its bin edges.
+    Nodes are in growth order: batch, then level, then parent split order.
+    ``roots[t]`` is tree t's root, and tree t is the nodes reachable from
+    it.  ``feature[i]`` is the original column id tested at node i, or -1
+    for a leaf.  Rows whose binned code in that column is <=
+    ``split_bin[i]`` go to ``left[i]`` and the others to ``left[i] + 1``:
+    siblings are adjacent, so there is no right array.  A leaf has
+    ``split_bin`` and ``left`` -1 and votes for ``leaf_class``, the argmax
+    of its class histogram; inner nodes have ``leaf_class`` -1.  ``edges``
+    maps each subset column to its bin edges.
     """
 
     feature: np.ndarray
@@ -114,10 +117,10 @@ def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
     depend on how trees are batched together.  ``n_bins`` is the largest
     bin count among the columns.
 
-    Returns the node arrays ``(tree, feature, split_bin, left,
-    leaf_class)``, where ``tree`` is the batch-local tree id.  Node ids
-    are batch-global in append order (level, then slot within the level),
-    and ``left`` holds such ids.
+    Returns the node arrays ``(feature, split_bin, left, leaf_class)``.
+    Node ids are batch-global in append order (level, then slot within
+    the level), and ``left`` holds such ids; the first level is the
+    roots, tree t's at id t.
     """
     T = len(rngs)
     n, k = codes_sub.shape
@@ -161,7 +164,7 @@ def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
             feature[split] = cols[col]
             split_bin[split] = sbin
             left[split] = base + n_act + 2 * np.arange(S)
-        levels.append((act_tree, feature, split_bin, left, leaf_class))
+        levels.append((feature, split_bin, left, leaf_class))
         if S == 0:
             break
 
@@ -271,30 +274,20 @@ def train_forest(train, subset, n_trees: int, seed: int = 0,
     n_nodes = 0
     for start in range(0, n_trees, batch):
         rngs = [np.random.default_rng(s) for s in streams[start:start + batch]]
-        tree, feature, split_bin, left, leaf_class = _grow_batch(
+        feature, split_bin, left, leaf_class = _grow_batch(
             codes_sub, train.labels, train.n_classes,
             cols, n_bins, rngs, max_depth, min_leaf,
         )
         left[left >= 0] += n_nodes
-        parts.append((tree + start, feature, split_bin, left, leaf_class))
-        n_nodes += tree.size
-    tree, feature, split_bin, left, leaf_class = (
+        roots = n_nodes + np.arange(len(rngs))  # the batch's first level
+        parts.append((feature, split_bin, left, leaf_class, roots))
+        n_nodes += feature.size
+    feature, split_bin, left, leaf_class, roots = (
         np.concatenate(p) for p in zip(*parts)
     )
-
-    # a stable sort by tree keeps each tree's nodes in (level, slot) order
-    order = np.argsort(tree, kind="stable")
-    new_id = np.empty_like(order)
-    new_id[order] = np.arange(order.size)
-    left = left[order]
-    inner = left >= 0
-    left[inner] = new_id[left[inner]]
     return ForestModel(
-        feature=feature[order],
-        split_bin=split_bin[order],
-        left=left,
-        leaf_class=leaf_class[order],
-        roots=np.searchsorted(tree[order], np.arange(n_trees)),
+        feature=feature, split_bin=split_bin, left=left,
+        leaf_class=leaf_class, roots=roots,
         subset=tuple(int(c) for c in cols),
         n_classes=train.n_classes,
         edges={int(c): edges[c] for c in cols},

@@ -25,6 +25,9 @@ from .forest import MetricReport
 
 SCHEMA_VERSION = 3
 
+# the files write_report_files writes under its directory
+REPORT_FILES = ("report.json", "curves.csv")
+
 CURVE_COLUMNS = tuple(f.name for f in fields(EpisodeStats))
 
 _JSON_TYPES = {int: "integer", float: "number"}
@@ -185,11 +188,10 @@ def write_report_files(payload: dict, out_dir) -> tuple[Path, Path]:
     validate_report(payload)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "report.json"
+    json_path, csv_path = (out / name for name in REPORT_FILES)
     json_path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
-    csv_path = out / "curves.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_COLUMNS)

@@ -21,6 +21,9 @@ def run_args(out, extra=()):
             "--seed", "3", "--out", str(out), *extra]
 
 
+SWEEP = ["sweep", "--param", "stop-threshold", "--values", "0.2,0.8"]
+
+
 def no_data(args):
     raise AssertionError("data loaded before the flags were checked")
 
@@ -146,25 +149,45 @@ class TestFlagParsing:
         assert exc.value.code == 2
         assert "MCFS_THREADS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        ["run"],
-        ["sweep", "--param", "stop-threshold", "--values", "0.2,0.8"],
-    ], ids=["run", "sweep"])
+    @pytest.mark.parametrize("command, out, taken, kind", [
+        (["run"], "taken", "taken", "file"),
+        (SWEEP, "taken", "taken", "file"),
+        (["run"], "taken/sub", "taken", "file"),
+        (SWEEP, "taken/sub", "taken", "file"),
+        (SWEEP, "out", "out/stop-threshold=0.8", "file"),
+        (["run"], "out", "out/report.json", "directory"),
+        (["run"], "out", "out/curves.csv", "directory"),
+        (SWEEP, "out", "out/summary.csv", "directory"),
+        (SWEEP, "out", "out/stop-threshold=0.2/curves.csv", "directory"),
+    ], ids=["run", "sweep", "run-below-file", "sweep-below-file",
+            "arm-is-file", "report-is-dir", "curves-is-dir",
+            "summary-is-dir", "arm-curves-is-dir"])
     def test_out_naming_a_file_exits_2_before_training(
-            self, command, tmp_path, monkeypatch, capsys):
+            self, command, out, taken, kind, tmp_path, monkeypatch, capsys):
+        # each of these used to train to the end, then exit 1 on write
         def no_training(*args):
             raise AssertionError("training started with an unusable --out")
 
         monkeypatch.setattr(cli, "_load_dataset", no_data)
         monkeypatch.setattr(engine, "train", no_training)
-        out = tmp_path / "taken"
-        out.write_text("not a directory")
+        taken = tmp_path / taken
+        taken.parent.mkdir(parents=True, exist_ok=True)
+        if kind == "file":
+            taken.write_text("not a directory")
+        else:
+            taken.mkdir()
         with pytest.raises(SystemExit) as exc:
-            cli.main([*command, "--synthetic", "40,4,2", "--out", str(out)])
+            cli.main([*command, "--synthetic", "40,4,2",
+                      "--out", str(tmp_path / out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert str(out) in err and "not a directory" in err
-        assert out.read_text() == "not a directory"
+        assert repr(str(taken)) in err
+        if kind == "file":
+            assert "not a directory" in err
+            assert taken.read_text() == "not a directory"
+        else:
+            assert "is a directory" in err
+            assert not any(taken.iterdir())
 
     def test_default_out_naming_a_file_exits_2(self, tmp_path, monkeypatch,
                                                capsys):

@@ -186,6 +186,18 @@ class TestCsv:
                                     if c != "label"]
         assert ds.n_samples == 2
 
+    @pytest.mark.parametrize("text", ["caf\xe9,label\n1,0\n2,1\n",
+                                      "a,label\n1,caf\xe9\n2,1\n"],
+                             ids=["header", "cell"])
+    def test_latin1_file_is_data_error_naming_it(self, tmp_path, text):
+        # a Latin-1 "é" is byte 0xe9, which starts no valid UTF-8 sequence
+        path = tmp_path / "latin.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(data.DataError) as exc:
+            data.load_csv(path, "label")
+        assert repr(str(path)) in str(exc.value)
+        assert "not UTF-8" in str(exc.value) and "0xe9" in str(exc.value)
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises((data.DataError, OSError)):
             data.load_csv(tmp_path / "absent.csv", "label")

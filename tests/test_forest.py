@@ -26,15 +26,20 @@ NODE_FIELDS = ("feature", "split_bin", "left", "leaf_class", "roots")
 
 def tree_nodes(model):
     """Each tree's (feature, split_bin, left, leaf_class) rows, numbered
-    from 0 at its root as in the flat layout's per-tree order."""
-    ends = np.append(model.roots[1:], model.feature.size)
-    for start, end in zip(model.roots, ends):
-        left = model.left[start:end]
+    from 0 at its root breadth-first, left child before right: level by
+    level, each level in the order its parents split."""
+    for root in model.roots.tolist():
+        order = [root]
+        for node in order:  # the list grows while it is walked
+            left = int(model.left[node])
+            if left >= 0:
+                order += [left, left + 1]
+        local = {node: i for i, node in enumerate(order)}
         yield np.stack([
-            model.feature[start:end],
-            model.split_bin[start:end],
-            np.where(left >= 0, left - start, -1),
-            model.leaf_class[start:end],
+            model.feature[order],
+            model.split_bin[order],
+            [local.get(child, -1) for child in model.left[order].tolist()],
+            model.leaf_class[order],
         ])
 
 
@@ -62,7 +67,8 @@ class TestTrainForest:
         )
 
     def test_batch_size_does_not_change_trees(self, monkeypatch):
-        # growing trees one per batch must give the exact same forest
+        # growing trees one per batch must give the exact same trees; the
+        # stored node order follows the batches, so compare tree by tree
         ds = separable_dataset(120, seed=3)
         grow = forest._grow_batch
         batch_sizes = []
@@ -77,10 +83,33 @@ class TestTrainForest:
         monkeypatch.setattr(forest, "_UNIT_BUDGET", 1)
         single = forest.train_forest(ds, [0, 1, 2, 3], n_trees=8, seed=9)
         assert batch_sizes == [8] + [1] * 8
-        for name in NODE_FIELDS:
-            assert_array_equal(getattr(full, name), getattr(single, name))
+        for a, b in zip(tree_nodes(full), tree_nodes(single), strict=True):
+            assert_array_equal(a, b)
         # prediction walks one tree per batch here
         assert_array_equal(forest.predict(single, ds), pred)
+
+    def test_nodes_in_growth_order(self, monkeypatch):
+        # 120 rows x 2 candidates per unit: a budget of 500 grows the 7
+        # trees in batches of 2, 2, 2 and 1
+        ds = separable_dataset(120, seed=7)
+        monkeypatch.setattr(forest, "_UNIT_BUDGET", 500)
+        model = forest.train_forest(ds, [0, 1, 2, 3], n_trees=7, seed=4)
+        assert model.roots.size == 7
+        inner = model.feature >= 0
+        assert_array_equal(model.left >= 0, inner)
+        # walk each tree from its root through left and left + 1: every
+        # node must be reached, and from one root only
+        owner = np.full(model.feature.size, -1)
+        for t, root in enumerate(model.roots):
+            level = np.array([root])
+            while level.size:
+                assert (owner[level] == -1).all()
+                owner[level] = t
+                at = level[inner[level]]
+                level = np.concatenate([model.left[at], model.left[at] + 1])
+        assert (owner >= 0).all()
+        # a batch's trees interleave: nodes are not in per-tree blocks
+        assert (np.diff(owner) < 0).any()
 
     @pytest.mark.parametrize("n_classes", [2, 3, 4])
     @pytest.mark.parametrize("min_leaf", [1, 2, 5])
@@ -338,13 +367,15 @@ class TestFitMemory:
         # a 100-tree reference fit on a wide shape's outer training fold
         # (1600 rows).  Batches sized by rows alone peaked at 11.9 MiB on
         # 60 columns and 21.0 MiB on 240, growing with the candidates per
-        # split; sized by rows times candidates, at 4.7 and 4.6 MiB
+        # split; sized by rows times candidates, at 4.7 and 4.6 MiB.  The
+        # pass that renumbered each tree's nodes into a block set that
+        # peak; nodes kept in growth order peak at 3.4 and 3.3 MiB
         ds, _ = data.synth_classification(2000, n_features, 10, seed=0)
         train = data.split_dataset(ds, 0.8, seed=0).train
         train.derived(forest._binned)
         _, peak = traced(lambda: forest.train_forest(
             train, range(n_features), n_trees=100, seed=0))
-        assert peak < 8 * 2**20
+        assert peak < 4 * 2**20
 
 
 class TestPredictMemory:
