@@ -14,11 +14,11 @@ A run is a sweep of one arm.  The three reference baselines depend only
 on the outer split and the seed, so they are fitted once and each arm fits
 only its selected subset.  ``MCFS_THREADS`` > 1 queues the arms, then one
 task per reference subset, on that many worker processes (at most one per
-task).  The inner split is made once per command, and its training fold
-keeps the reward and utility tables (``engine._Trainer``): arms in this
-process share them, and each arm in a worker gets its own copy.  A reward
-does not depend on who computes it, so the reports equal the sequential
-ones either way.
+task); the command's process builds every report.  The inner split is made
+once per command, and its training fold keeps the reward and utility tables
+(``engine._Trainer``): arms in this process share them, and each arm in a
+worker gets its own copy.  A reward does not depend on who computes it, so
+the reports equal the sequential ones either way.
 """
 
 from __future__ import annotations
@@ -234,26 +234,24 @@ def compare_baselines(split, subsets, seed, pool=None) -> dict:
     return {name: job.result() for name, job in jobs.items()}
 
 
-def _execute_run(outer, inner, meta, config):
+def _execute_run(outer, inner, config):
     """One arm: train on ``inner``, the split of ``outer``'s training
-    fold, then fit the selected subset on ``outer``."""
+    fold, then fit the selected subset on ``outer``; returns the run's
+    ``engine.RunReport`` and that ``selected`` baseline entry."""
     run = engine.train(inner, config)
-    baselines = {"selected": _baseline_entry(outer, run.best_subset,
-                                             config.seed)}
-    return reports.report_to_dict(run, outer.train.feature_names, meta,
-                                  baselines)
+    return run, _baseline_entry(outer, run.best_subset, config.seed)
 
 
 def _run_arms(ds, meta, configs, workers) -> list:
     """Each config's report payload; the configs share one seed, so one
     outer split, one inner split with its reward and utility tables, and
-    one set of reference baselines."""
+    one set of reference baselines; each is built here, not in a worker."""
     seed = configs[0].seed
     outer = data.split_dataset(ds, TRAIN_RATIO, seed=seed)
     subsets = reference_subsets(outer.train, seed)
     # only ``arm`` holds the inner split, so dropping it frees the tables
     inner = data.split_dataset(outer.train, TRAIN_RATIO, seed=seed)
-    arm = functools.partial(_execute_run, outer, inner, meta)
+    arm = functools.partial(_execute_run, outer, inner)
     del inner
     # a fork-started pool starts every worker at once: one per task at most
     workers = min(workers, len(configs) + len(subsets))
@@ -262,14 +260,14 @@ def _run_arms(ds, meta, configs, workers) -> list:
             # the arms go first, so the longest one does not start last
             jobs = [pool.submit(arm, c) for c in configs]
             refs = compare_baselines(outer, subsets, seed, pool)
-            payloads = [job.result() for job in jobs]
+            arms = [job.result() for job in jobs]
     else:
-        payloads = [arm(c) for c in configs]
+        arms = [arm(c) for c in configs]
         del arm  # before the reference fits, which set the memory peak
         refs = compare_baselines(outer, subsets, seed)
-    for payload in payloads:
-        payload["baselines"] = {**refs, **payload["baselines"]}
-    return payloads
+    return [reports.report_to_dict(run, outer.train.feature_names, meta,
+                                   {**refs, "selected": entry})
+            for run, entry in arms]
 
 
 def _print_summary(payload):
@@ -334,18 +332,10 @@ def cmd_sweep(args, parser) -> int:
     rows = []
     for raw, arm_dir, payload in zip(raw_values, arm_dirs, payloads):
         reports.write_report_files(payload, arm_dir)
-        lengths = [c["length"] for c in payload["curves"]]
-        rows.append({
-            "param": args.param,
-            "value": raw,
-            "best_eval": payload["best_eval"],
-            "test_accuracy": payload["test_metrics"]["accuracy"],
-            "episodes_completed": payload["episodes_completed"],
-            "total_steps": payload["total_steps"],
-            "mean_length": float(np.mean(lengths)) if lengths else 0.0,
-        })
-        print(f"{args.param}={raw}: best_eval={payload['best_eval']:.4f} "
-              f"test_acc={payload['test_metrics']['accuracy']:.4f}")
+        row = reports.summary_row(args.param, raw, payload)
+        rows.append(row)
+        print(f"{args.param}={raw}: best_eval={row['best_eval']:.4f} "
+              f"test_acc={row['test_accuracy']:.4f}")
 
     args.out.mkdir(parents=True, exist_ok=True)
     summary = args.out / "summary.csv"

@@ -126,7 +126,8 @@ def load_csv(path: str | os.PathLike, label_col: str) -> Dataset:
     All columns except ``label_col`` must be numeric.  Label values may be
     arbitrary strings; they are mapped to class ids in order of first
     appearance.  Malformed cells, empty labels among them, are rejected
-    with their location.
+    with their location.  Blank lines are skipped, and data rows are
+    numbered from 1 after the header, blank lines included.
     """
     path = os.fspath(path)
     try:
@@ -138,7 +139,7 @@ def load_csv(path: str | os.PathLike, label_col: str) -> Dataset:
     with fh:
         reader = _csv_records(fh, path)
         try:
-            header = next(reader)
+            header = next(record for record in reader if record)
         except StopIteration:
             raise DataError(f"{path!r} is empty") from None
         header = [h.strip() for h in header]
@@ -155,6 +156,8 @@ def load_csv(path: str | os.PathLike, label_col: str) -> Dataset:
         rows = []
         raw_labels = []
         for r, record in enumerate(reader, start=1):
+            if not record:  # csv.reader's form of a blank line
+                continue
             if len(record) != len(header):
                 raise DataError(
                     f"{path!r} row {r}: expected {len(header)} cells, "
@@ -208,9 +211,14 @@ def load_csv(path: str | os.PathLike, label_col: str) -> Dataset:
 def split_dataset(ds: Dataset, ratio: float, seed: int) -> Split:
     """Shuffled train/test split, stratified by class when possible.
 
-    Stratification is used when every class present has at least two rows;
-    per-class train counts are assigned by largest remainder so the overall
-    train size stays within one row of ``ratio * n``.
+    The training fold gets ``round(ratio * n)`` rows, clipped to
+    [1, n - 1].  Stratification is used when every class present has at
+    least two rows: per-class train counts are assigned by largest
+    remainder, and every class keeps at least one training row and one
+    test row.  That rule wins over the target size, so few rows per class
+    can move the fold far from it: 5 classes of 2 rows give 5 training
+    rows for a target of 8.  When a class has a single row, the split is a
+    plain shuffle of all rows, which may leave a class out of either fold.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")

@@ -149,6 +149,21 @@ def report_to_dict(run, feature_names, dataset, baselines) -> dict:
     }
 
 
+def summary_row(param, value, payload) -> dict:
+    """One arm's row of a sweep's summary.csv, from its report payload."""
+    lengths = [c["length"] for c in payload["curves"]]
+    return {
+        "param": param,
+        "value": value,
+        "best_eval": payload["best_eval"],
+        "test_accuracy":
+            payload["baselines"]["selected"]["metrics"]["accuracy"],
+        "episodes_completed": len(lengths),
+        "total_steps": sum(lengths),
+        "mean_length": sum(lengths) / len(lengths),
+    }
+
+
 def _finite_number(checker, instance) -> bool:
     import jsonschema
 

@@ -71,7 +71,7 @@ def utility(subset, ds, mode: str) -> float:
 
 def _subset_seed(seed: int, cols) -> np.random.SeedSequence:
     tag = zlib.crc32(np.asarray(sorted(cols), dtype=np.int64).tobytes())
-    return np.random.SeedSequence(entropy=[seed & 0xFFFFFFFF, tag])
+    return np.random.SeedSequence(entropy=[seed, tag])
 
 
 def eval_reward(subset, split, weights: RewardWeights, seed: int,

@@ -649,6 +649,27 @@ class TestSweep:
                    for t in (0.0, 0.5)]
         assert len(cli._run_arms(ds, {}, configs, 1)) == 2
 
+    def test_reports_built_in_the_command_process(self, tmp_path,
+                                                  monkeypatch, spy_pool):
+        # fork-started workers inherit the patch, so a report built in a
+        # worker would fail the command
+        report_to_dict = reports.report_to_dict
+        parent = os.getpid()
+
+        def parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError("report built in a worker")
+            return report_to_dict(*args, **kwargs)
+
+        monkeypatch.setattr(reports, "report_to_dict", parent_only)
+        monkeypatch.setenv("MCFS_THREADS", "2")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--synthetic", "80,5,2", "--episodes", "3",
+                         "--seed", "4", *SWEEP[1:], "--out", str(out)]) == 0
+        assert spy_pool.queued[:2] == ["_execute_run"] * 2
+        for v in ("0.2", "0.8"):
+            reports.load_report(out / f"stop-threshold={v}" / "report.json")
+
     def test_failing_arm_in_worker_exits_1(self, tmp_path, monkeypatch,
                                            capsys):
         # fork-started workers inherit the patched engine.train

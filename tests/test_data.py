@@ -148,6 +148,35 @@ class TestCsv:
                            match="row 6, column 'label': empty cell"):
             data.load_csv(path, "label")
 
+    @pytest.mark.parametrize("text", [
+        "a,b,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n\n",
+        "a,b,label\n1,2,x\n3,4,y\n\n5,6,x\n\n\n7,8,y\n",
+        "\n\na,b,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n",
+    ], ids=["trailing", "inside", "before-header"])
+    def test_blank_lines_are_skipped(self, tmp_path, text):
+        path = tmp_path / "ds.csv"
+        path.write_text(text)
+        ds = data.load_csv(path, "label")
+        assert_array_equal(ds.features, [[1, 2], [3, 4], [5, 6], [7, 8]])
+        assert_array_equal(ds.labels, [0, 1, 0, 1])
+
+    def test_only_blank_lines_is_empty(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("\n\n")
+        with pytest.raises(data.DataError, match="is empty"):
+            data.load_csv(path, "label")
+
+    def test_rows_after_a_blank_line_keep_their_number(self, tmp_path):
+        # the blank line is row 2, so the row with the empty cell is row 3,
+        # and a row of empty cells is still rejected
+        path = tmp_path / "ds.csv"
+        path.write_text("a,b,label\n1,2,0\n\n1,,1\n")
+        with pytest.raises(data.DataError, match="row 3, column 'b'"):
+            data.load_csv(path, "label")
+        path.write_text("a,b,label\n1,2,0\n3,4,1\n\n,,\n")
+        with pytest.raises(data.DataError, match="row 4, column 'a'"):
+            data.load_csv(path, "label")
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("a,b,label\n1,2,0\nx,3,1\n")
@@ -248,6 +277,29 @@ class TestSplit:
         a = data.split_dataset(ds, 0.8, seed=1)
         b = data.split_dataset(ds, 0.8, seed=2)
         assert not np.array_equal(row_ids(a.train), row_ids(b.train))
+
+    def test_every_class_keeps_a_test_row_over_the_target_size(self):
+        # 5 classes of 2 rows: the target is round(0.8 * 10) = 8 training
+        # rows, but each class keeps one row for each fold
+        labels = np.repeat(np.arange(5), 2)
+        x = np.column_stack([np.arange(10.0), np.zeros(10)])
+        ds = data.Dataset(x, labels, ["id", "f"], 5)
+        sp = data.split_dataset(ds, 0.8, seed=3)
+        assert sp.train.n_samples == 5 and sp.test.n_samples == 5
+        assert_array_equal(np.sort(sp.train.labels), np.arange(5))
+        assert_array_equal(np.sort(sp.test.labels), np.arange(5))
+
+    def test_single_row_class_falls_back_to_a_shuffle(self):
+        # class 2 has one row, so the split is not stratified: the training
+        # fold is the first round(0.8 * n) rows of the seeded permutation
+        labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 2])
+        x = np.column_stack([np.arange(10.0), np.zeros(10)])
+        ds = data.Dataset(x, labels, ["id", "f"], 3)
+        for seed in range(4):
+            sp = data.split_dataset(ds, 0.8, seed=seed)
+            perm = np.random.default_rng(seed).permutation(10)
+            assert_array_equal(row_ids(sp.train), np.sort(perm[:8]))
+            assert_array_equal(row_ids(sp.test), np.sort(perm[8:]))
 
     def test_rejects_bad_ratio(self):
         ds = tiny_dataset()

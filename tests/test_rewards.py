@@ -137,6 +137,12 @@ class TestEvalReward:
         assert a1 == a2
         assert b1 == b2
 
+    def test_forest_seed_keeps_every_bit_of_the_run_seed(self):
+        # run seeds 2**32 apart must not share their reward forests
+        states = {int(rewards._subset_seed(s, [1, 2]).generate_state(1)[0])
+                  for s in (0, 2**32, 2**33, 2**32 + 7)}
+        assert len(states) == 4
+
     def test_informative_beats_noise_subset(self):
         ds = labeled_dataset(200, seed=6)
         sp = data.split_dataset(ds, 0.8, seed=3)
