@@ -106,12 +106,15 @@ def _check_out(parser, out_dir, files):
     end: the nearest existing path on the way to ``out_dir`` must be a
     directory, and none of the files may exist as one.
     """
-    known = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not known.is_dir():
-        parser.error(f"{str(known)!r} exists and is not a directory")
-    for name in files:
-        if (out_dir / name).is_dir():
-            parser.error(f"{str(out_dir / name)!r} is a directory")
+    try:
+        known = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not known.is_dir():
+            parser.error(f"{str(known)!r} exists and is not a directory")
+        for name in files:
+            if (out_dir / name).is_dir():
+                parser.error(f"{str(out_dir / name)!r} is a directory")
+    except OSError as exc:  # such as a path component that is too long
+        parser.error(f"cannot write to {str(out_dir)!r}: {exc.strerror}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,13 +5,14 @@ behavior policy picking select/deselect per feature.  Importance weights
 against the softmax target policy grow incrementally.  Early stopping cuts
 degenerate episodes short: a step survives with probability
 min(1, importance / stop_threshold) and the walk stops with the
-complement.  The walk needs no reward: it records the subset after each
-step, and the episode is scored from that record once it ends.  Each step
-gets its subset's reward, advised by an information-theoretic potential
-for the first advise_steps environment steps.  The walk computes each
-step's survival once and records it; the stop rule reads it, and training
-reads the record to reweight the steps (rejection control) and to feed
-the replay memory's mean survival.
+complement.  The walk needs no reward.  It returns one ``Episode`` of
+per-step columns: ``steps``, ``states``, ``actions``, ``importance``,
+``survival`` and ``subsets``.  The episode is scored from ``subsets`` once
+it ends: each step gets its subset's reward, advised by an
+information-theoretic potential for the first advise_steps environment
+steps.  Training reads the other columns as they are: ``importance`` and
+``survival`` reweight the steps (rejection control) and feed the replay
+memory's mean survival, and ``states`` and ``actions`` go to replay.
 Weighted returns train the value net from replay.  The final greedy
 selection is the same walk with an argmax, never-stopping policy.
 """
@@ -44,26 +45,23 @@ MODES = {
 
 
 @dataclass(eq=False)
-class EpisodeStep:
-    """One visit: the state seen, the decision taken, and its bookkeeping.
+class Episode:
+    """One walk: one column per fact, one entry per step.
 
-    ``importance`` is the running product of target/behavior probability
-    ratios up to and including this step, and ``survival`` its chance of
-    surviving early stopping.
+    ``steps`` is the walked prefix of the order, and ``states`` holds the
+    state each decision saw.  ``importance`` is the running product of
+    target/behavior probability ratios up to and including each step,
+    ``survival`` its chance of surviving early stopping, and ``subsets``
+    the subset after each step's decision.
     """
 
-    feature: int
-    state: np.ndarray
-    action: int
-    importance: float
-    survival: float
-
-
-@dataclass(eq=False)
-class Episode:
-    steps: list
+    steps: np.ndarray
+    states: np.ndarray
+    actions: np.ndarray
+    importance: np.ndarray
+    survival: np.ndarray
+    subsets: list
     stopped_early: bool
-    subsets: list  # the subset after each step's decision
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ def rerank_features(counts: np.ndarray) -> list:
 
 def traverse_episode(qnet, order, represent: Callable, choose: Callable,
                      stop_threshold: float, stop: Callable) -> Episode:
-    """Walk the features once, recording each step and the subset after it.
+    """Walk the features once and return the record of its steps.
 
     ``choose(q)`` returns the (action, behavior probability) for the Q
     values of the current state.  Each step's survival is computed against
@@ -240,28 +238,30 @@ def traverse_episode(qnet, order, represent: Callable, choose: Callable,
     q = qlearner.q_values(qnet, s)
     target = qlearner.target_policy(q)
     running = 1.0
-    steps = []
-    subsets = []
-    stopped = False
+    states, actions, importance, survival, subsets = [], [], [], [], []
     last = len(order) - 1
     for t, feat in enumerate(order):
         action, b_prob = choose(q)
         running = incremental_weight(running, float(target[action]), b_prob)
-        survival = survival_probability(running, stop_threshold)
-        steps.append(EpisodeStep(
-            feature=int(feat), state=s, action=action, importance=running,
-            survival=survival,
-        ))
+        states.append(s)
+        actions.append(action)
+        importance.append(running)
+        survival.append(survival_probability(running, stop_threshold))
         if action == 1:
             subset = subset | {feat}
             s = represent(subset)
             q = qlearner.q_values(qnet, s)
             target = qlearner.target_policy(q)
         subsets.append(subset)
-        if t < last and stop(survival):
-            stopped = True
+        if t < last and stop(survival[-1]):
             break
-    return Episode(steps=steps, stopped_early=stopped, subsets=subsets)
+    n = len(actions)
+    return Episode(
+        steps=np.asarray(order[:n], dtype=np.int64), states=np.stack(states),
+        actions=np.array(actions), importance=np.array(importance),
+        survival=np.array(survival), subsets=subsets,
+        stopped_early=n < len(order),
+    )
 
 
 def final_selection(qnet, represent: Callable, n_features: int):
@@ -404,19 +404,17 @@ def train(split, config: TrainConfig) -> RunReport:
         )
         final_eval, advised = tr.score(episode, steps_taken)
         # a feature is visited at most once per episode
-        tr.counts[[s.feature for s in episode.steps]] += 1
+        tr.counts[episode.steps] += 1
 
-        importance = np.array([s.importance for s in episode.steps])
-        survival = np.array([s.survival for s in episode.steps])
         # the mean survival over replay-memory steps, or over the episode's
         # own steps while the memory is still empty
-        window = np.asarray(tr.survival_window or survival)
+        window = np.asarray(tr.survival_window or episode.survival)
         survival_mean = float(np.add.reduce(window) / window.size)
-        weights = recalc_weights(importance, survival, survival_mean)
-        tr.survival_window.extend(survival)
+        weights = recalc_weights(episode.importance, episode.survival,
+                                 survival_mean)
+        tr.survival_window.extend(episode.survival)
         returns = compute_returns(advised, config.gamma, config.return_mode)
-        tr.memory.push(np.stack([s.state for s in episode.steps]),
-                       [s.action for s in episode.steps], weights * returns)
+        tr.memory.push(episode.states, episode.actions, weights * returns)
 
         losses = []
         for _ in range(config.updates_per_episode):

@@ -197,14 +197,33 @@ def _paired_run(seed):
         "n_classes": ds.n_classes,
         "train_ratio": cli.TRAIN_RATIO,
     }
-    configs = [
-        engine.TrainConfig(
-            episodes=120, max_global_steps=2160, stop_threshold=threshold,
-            behavior_mode=behavior, seed=seed,
-        )
-        for threshold, behavior in PAIRED_ARMS
-    ]
+    configs = [_paired_config(threshold, behavior, seed)
+               for threshold, behavior in PAIRED_ARMS]
     return dict(zip(PAIRED_ARMS, cli._run_arms(ds, meta, configs, 1)))
+
+
+def _paired_config(stop_threshold, behavior_mode, seed):
+    return engine.TrainConfig(
+        episodes=120, max_global_steps=2160, stop_threshold=stop_threshold,
+        behavior_mode=behavior_mode, seed=seed,
+    )
+
+
+def _forest_count_run(seed):
+    """Reward forests fitted by C6's two arms of one seed, by stop threshold.
+
+    Each arm trains on its own fresh inner fold, so its reward table holds
+    exactly the subsets it scored; each non-empty one fitted one forest.
+    """
+    ds, _ = data.synth_classification(300, 18, 4, seed=seed)
+    outer = data.split_dataset(ds, cli.TRAIN_RATIO, seed=seed)
+    fitted = {}
+    for threshold in (0.5, 0.0):
+        inner = data.split_dataset(outer.train, cli.TRAIN_RATIO, seed=seed)
+        engine.train(inner, _paired_config(threshold, "greedy", seed))
+        [table] = inner.train.derived(engine._reward_tables).values()
+        fitted[threshold] = sum(1 for subset in table if subset)
+    return fitted
 
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -235,14 +254,20 @@ def paired_payloads(seed):
     return _run(_paired_run, seed)[0]
 
 
+def forest_counts(seed):
+    return _run(_forest_count_run, seed)[0]
+
+
 @pytest.fixture(scope="module")
 def fanned_out():
-    """Run every C5-C7 job not yet cached at once, one worker per core.
+    """Run every C5-C7 job, and the forest counts beside C6, not yet
+    cached at once, one worker per core.
 
     The jobs share no data, and each report depends only on its inputs, so
     a worker's payload equals the one this process would build.
     """
-    todo = [(job, seed) for job in (_benchmark_run, _paired_run)
+    todo = [(job, seed)
+            for job in (_benchmark_run, _paired_run, _forest_count_run)
             for seed in SEEDS
             if (job.__name__, seed) not in _RUNS]
     workers = min(len(todo), len(os.sched_getaffinity(0)))
@@ -311,6 +336,15 @@ class TestC6EarlyStoppingEfficiency:
             f"mean length {mean_stop:.2f} vs {mean_plain:.2f}, "
             f"median eval {med_stop:.3f} vs {med_plain:.3f}",
         )
+
+
+class TestEarlyStoppingFitsFewerForests:
+    def test_stopping_arm_fits_fewer_reward_forests(self, fanned_out):
+        # the paper's efficiency claim, counted in forests rather than in
+        # C6's episode lengths
+        stop = sum(forest_counts(seed)[0.5] for seed in SEEDS)
+        plain = sum(forest_counts(seed)[0.0] for seed in SEEDS)
+        assert stop < plain, f"{stop} reward forests vs {plain}"
 
 
 class TestC7BehaviorPolicyStudy:

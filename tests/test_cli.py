@@ -189,6 +189,19 @@ class TestFlagParsing:
             assert "is a directory" in err
             assert not any(taken.iterdir())
 
+    @pytest.mark.parametrize("command", [["run"], SWEEP],
+                             ids=["run", "sweep"])
+    def test_out_name_too_long_exits_2(self, command, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.setattr(cli, "_load_dataset", no_data)
+        out = tmp_path / ("a" * 300) / "sub"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--synthetic", "40,4,2", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(str(out)) in err
+        assert "File name too long" in err
+
     def test_default_out_naming_a_file_exits_2(self, tmp_path, monkeypatch,
                                                capsys):
         monkeypatch.setattr(cli, "_load_dataset", no_data)

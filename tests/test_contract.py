@@ -85,6 +85,19 @@ def test_tampered_list_element_is_named_by_index(recorded, cheap, capsys):
     assert f"{CHEAP}: report.json: $.curves[3]" in out
 
 
+def test_recorded_command_not_in_the_list_fails(recorded, cheap, capsys):
+    dropped = "dropped-workload seed=0 threads=1"
+
+    def change(saved):
+        saved["commands"][dropped] = copy.deepcopy(saved["commands"][CHEAP])
+
+    code, out = check(tampered(recorded, change), cheap, capsys)
+    assert code == 1
+    assert f"ok       {CHEAP}" in out
+    assert f"DIFFERS  {dropped}: not run" in out
+    assert "1 of 2 commands differ" in out
+
+
 def test_other_toolchain_is_not_comparable(recorded, cheap, capsys):
     def change(saved):
         saved["toolchain"]["numpy"] = "0.0.0"

@@ -224,28 +224,35 @@ def assert_importance_recurrence(ep, qnet, epsilon,
     target pi and the epsilon-greedy behavior b recomputed from the net at
     the step's state."""
     prev = 1.0
-    for s in ep.steps:
-        q = q_values(qnet, s.state)
-        pi = float(qlearner.target_policy(q)[s.action])
-        b = 1.0 - epsilon if s.action == int(np.argmax(q)) else epsilon
+    for state, action, importance in zip(ep.states, ep.actions,
+                                         ep.importance.tolist()):
+        q = q_values(qnet, state)
+        pi = float(qlearner.target_policy(q)[action])
+        b = 1.0 - epsilon if action == int(np.argmax(q)) else epsilon
         assert 0.0 < pi < 1.0
-        assert s.importance == prev * pi / b
-        prev = s.importance
+        assert importance == prev * pi / b
+        prev = importance
 
 
-def toy_traverse(config, n=6, qnet=None, seed=0, represent=None):
-    """One training-style walk over n features with a one-hot state."""
+def one_hot(n):
+    """The one-hot state of a subset of n features."""
+    return lambda sub: np.isin(np.arange(n), sorted(sub)).astype(float)
+
+
+def toy_traverse(config, n=6, qnet=None, seed=0, represent=None,
+                 order=None):
+    """One training-style walk over n features, in index order unless
+    ``order`` is given, with a one-hot state."""
     qnet = qnet or qlearner.q_network(n, seed=1)
-    represent = represent or (
-        lambda sub: np.isin(np.arange(n), sorted(sub)).astype(float)
-    )
+    represent = represent or one_hot(n)
     rng = np.random.default_rng(seed)
     if config.behavior_mode == "greedy":
         choose = lambda q: qlearner.behavior_policy(q, config.epsilon, rng)
     else:
         choose = lambda q: qlearner.random_policy(rng)
     stop = lambda survival: rng.random() < 1.0 - survival
-    return engine.traverse_episode(qnet, list(range(n)), represent, choose,
+    order = list(range(n)) if order is None else order
+    return engine.traverse_episode(qnet, order, represent, choose,
                                    config.stop_threshold, stop)
 
 
@@ -264,10 +271,10 @@ class TestTraverseEpisode:
         qnet = zeroed_qnet(8)
         ep = toy_traverse(cfg, n=8, qnet=qnet, seed=3)
         assert len(ep.steps) == 8
-        for s in ep.steps:
-            assert s.importance == 1.0
-            pi = qlearner.target_policy(qlearner.q_values(qnet, s.state))
-            assert pi[s.action] == 0.5
+        assert_array_equal(ep.importance, 1.0)
+        for state, action in zip(ep.states, ep.actions):
+            pi = qlearner.target_policy(qlearner.q_values(qnet, state))
+            assert pi[action] == 0.5
 
     def test_importance_recurrence_and_prob_values(self):
         cfg = engine.TrainConfig(epsilon=0.2, stop_threshold=0.3)
@@ -277,14 +284,31 @@ class TestTraverseEpisode:
 
     @pytest.mark.parametrize("stop_threshold", [0.0, 1.0])
     def test_subsets_are_the_running_union_of_selects(self, stop_threshold):
+        n = 12
+        represent = one_hot(n)
         cfg = engine.TrainConfig(stop_threshold=stop_threshold, epsilon=0.4)
         stopped = []
         for seed in range(8):
-            ep = toy_traverse(cfg, n=12, seed=seed)
-            assert len(ep.subsets) == len(ep.steps)
+            order = np.random.default_rng(seed).permutation(n).tolist()
+            ep = toy_traverse(cfg, n=n, seed=seed, represent=represent,
+                              order=order)
+            k = len(ep.steps)
+            # every column holds one entry per step
+            assert ep.states.shape == (k, n)
+            for column in (ep.actions, ep.importance, ep.survival,
+                           ep.subsets):
+                assert len(column) == k
+            # the features walked are the first k of the order
+            assert ep.steps.dtype.kind == "i"
+            assert ep.steps.tolist() == order[:k]
+            before = [frozenset(), *ep.subsets[:-1]]
             for i, sub in enumerate(ep.subsets):
-                taken = {s.feature for s in ep.steps[:i + 1] if s.action}
+                taken = {f for f, a in zip(order[:i + 1], ep.actions) if a}
                 assert sub == frozenset(taken)
+                # the state a decision saw is that of the subset before it
+                assert_array_equal(ep.states[i], represent(before[i]))
+                # a select, and only a select, grows the subset
+                assert ep.actions[i] == int(sub != before[i])
             stopped.append(ep.stopped_early)
         # the record holds on stopped walks and on full ones
         assert any(stopped) == (stop_threshold > 0)
@@ -309,14 +333,15 @@ class TestTraverseEpisode:
                 lambda q: qlearner.behavior_policy(q, 0.3, rng), v,
                 lambda survival: asked.append(survival) or False,
             )
-            assert asked == [s.survival for s in ep.steps[:-1]]
+            assert asked == ep.survival[:-1].tolist()
             # every step's survival is recorded, the last one included
-            for s in ep.steps:
-                assert s.survival == engine.survival_probability(
-                    s.importance, v
+            for importance, survival in zip(ep.importance.tolist(),
+                                            ep.survival.tolist()):
+                assert survival == engine.survival_probability(
+                    importance, v
                 )
             # the behavior differs from the target, so the weights move
-            assert len({s.importance for s in ep.steps}) > 1
+            assert len(set(ep.importance.tolist())) > 1
 
     def test_one_q_forward_per_state(self, monkeypatch):
         calls = []
@@ -332,7 +357,7 @@ class TestTraverseEpisode:
         for seed in range(6):
             calls.clear()
             ep = toy_traverse(cfg, n=8, qnet=qnet, seed=seed)
-            selects = sum(s.action for s in ep.steps)
+            selects = int(ep.actions.sum())
             assert 0 < selects < len(ep.steps)
             assert len(calls) == 1 + selects
             # each step's weight uses the policies of the state it saw
@@ -351,23 +376,23 @@ class TestTraverseEpisode:
         for seed in range(4):
             calls.clear()
             ep = toy_traverse(cfg, n=n, seed=seed, represent=represent)
-            selects = sum(s.action for s in ep.steps)
+            selects = int(ep.actions.sum())
             assert 0 < selects < n
             assert len(calls) == 1 + selects
             # each step's state is the state of the subset it saw
             seen = frozenset()
-            for s in ep.steps:
-                assert_allclose(s.state, represent(seen))
-                if s.action == 1:
-                    seen = seen | {s.feature}
+            for feature, state, action in zip(ep.steps.tolist(), ep.states,
+                                              ep.actions):
+                assert_allclose(state, represent(seen))
+                if action == 1:
+                    seen = seen | {feature}
 
     def test_deterministic_per_seed(self):
         cfg = engine.TrainConfig(stop_threshold=0.6)
         a = toy_traverse(cfg, n=9, seed=21)
         b = toy_traverse(cfg, n=9, seed=21)
-        assert [s.action for s in a.steps] == [s.action for s in b.steps]
-        assert_allclose([s.importance for s in a.steps],
-                        [s.importance for s in b.steps], rtol=0)
+        assert_array_equal(a.actions, b.actions)
+        assert_array_equal(a.importance, b.importance)
 
 
 def small_split():
@@ -392,13 +417,13 @@ def random_walk(tr, seed):
 
 def scripted_episode(decisions, subsets):
     """An episode of (feature, action) steps and the subset after each."""
-    steps = [
-        engine.EpisodeStep(feature=f, state=np.zeros(1), action=a,
-                           importance=1.0, survival=1.0)
-        for f, a in decisions
-    ]
-    return engine.Episode(steps=steps, stopped_early=False,
-                          subsets=[frozenset(sub) for sub in subsets])
+    steps, actions = np.array(decisions, dtype=np.int64).T
+    n = len(decisions)
+    return engine.Episode(
+        steps=steps, states=np.zeros((n, 1)), actions=actions,
+        importance=np.ones(n), survival=np.ones(n),
+        subsets=[frozenset(sub) for sub in subsets], stopped_early=False,
+    )
 
 
 ONE_SELECT = ([(0, 1)], [{0}])
@@ -456,9 +481,10 @@ class TestScore:
         ep = random_walk(tr, seed=11)
         final_eval, advised = tr.score(ep, 0)
         sub = frozenset()
-        for s, r in zip(ep.steps, advised):
-            if s.action == 1:
-                sub = sub | {s.feature}
+        for feature, action, r in zip(ep.steps.tolist(), ep.actions,
+                                      advised):
+            if action == 1:
+                sub = sub | {feature}
             assert r == tr.reward(sub)
         assert final_eval == rewards.eval_reward(
             ep.subsets[-1], tr.split, tr.config.weights, tr.config.seed,

@@ -20,7 +20,8 @@ element of a list, and each key of an object, at any depth.  So ``--check``
 names the first JSON path whose value differs.  Digests only compare on
 one toolchain, so the contract records the Python and numpy versions, and
 ``--check`` on another reads "not comparable" and exits 2.  It exits 1
-when any command differs.
+when any command differs, or when the contract records a command that the
+list no longer holds.
 
 Uses only the standard library and the ``mcfs`` package, and takes the
 workloads, the BLAS thread variables and the wall-time stripping from
@@ -236,21 +237,29 @@ def record(chosen: list) -> dict:
 
 
 def check(contract: dict, chosen: list) -> int:
-    """Rerun the chosen commands and compare each with its record."""
+    """Rerun the chosen commands and compare each with its record; a
+    recorded command that is not chosen differs too."""
     recorded = contract["toolchain"]
     if recorded != toolchain():
         print(f"not comparable: recorded on {recorded}, "
               f"this is {toolchain()}")
         return 2
+    ran = record_all(chosen)
+    names = [*ran, *(n for n in contract["commands"] if n not in ran)]
     failed = 0
-    for name, new in record_all(chosen).items():
-        old = contract["commands"].get(name)
-        problem = "not recorded" if old is None else difference(old, new)
+    for name in names:
+        old, new = contract["commands"].get(name), ran.get(name)
+        if old is None:
+            problem = "not recorded"
+        elif new is None:
+            problem = "not run"
+        else:
+            problem = difference(old, new)
         failed += problem is not None
         print(f"{'ok' if problem is None else 'DIFFERS':8} {name}"
               + ("" if problem is None else f": {problem}"))
-    print(f"{failed} of {len(chosen)} commands differ" if failed
-          else f"contract holds for {len(chosen)} commands")
+    print(f"{failed} of {len(names)} commands differ" if failed
+          else f"contract holds for {len(names)} commands")
     return 1 if failed else 0
 
 
