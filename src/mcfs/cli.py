@@ -200,10 +200,9 @@ def _baseline_entry(split, subset, seed) -> dict:
     else:
         # no features to train on: score a constant majority-class guess
         majority = int(np.bincount(split.train.labels).argmax())
-        k = split.train.n_classes
-        cm = np.zeros((k, k), dtype=np.int64)
-        np.add.at(cm, (split.test.labels, majority), 1)
-        metrics = forest.metrics_from_confusion(cm)
+        metrics = forest.metrics_from_confusion(forest.confusion_matrix(
+            split.test.labels, majority, split.train.n_classes
+        ))
     return {
         "subset": reports.subset_payload(cols, split.train.feature_names),
         "metrics": metrics.as_dict(),

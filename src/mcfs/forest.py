@@ -18,12 +18,20 @@ whole level at a time, the cumulative counts, squares and scores of a
 small enough to stay in the L2 cache.  A slot's counts, arithmetic and
 tie order do not depend on its block, so neither do the trees.
 
+A unit is a distinct (tree, bootstrap row) pair, weighted by how often
+the tree drew the row; about 63% of the draws are distinct.  Histograms
+are weighted counts, converted back to exact integers.  They, and the
+cumulative counts and squares that score a split, are int32 while a
+node's squared counts fit in it (folds of up to 46,340 rows), int64
+beyond.  Every count and square is exact either way, so the scores, and
+so the trees, do not depend on the width.
+
 Trees grow in batches whose largest per-level temporaries, the (units x
-candidates) int64 arrays of each unit's candidate codes and histogram
-keys, hold about ``_UNIT_BUDGET`` elements; a unit is a (tree, bootstrap
-row) pair, and a split has isqrt(columns) candidates.  So a fit's working
-set does not grow with the column count.  Trees do not depend on their
-batch either.
+candidates) arrays of histogram keys and weights, hold at most about
+``_UNIT_BUDGET`` elements: the budget bounds bootstrap draws, and units
+are never more than draws.  A split has isqrt(columns) candidates.  So
+a fit's working set does not grow with the column count.  Trees do not
+depend on their batch either.
 """
 
 from __future__ import annotations
@@ -35,8 +43,9 @@ import numpy as np
 
 MAX_BINS = 32
 
-# elements per (units x candidates) temporary of a growing batch, or per
-# (trees x rows) walk array of a predicting batch: 65,536 int64 elements
+# elements per (units x candidates) temporary of a growing batch, counted
+# as if every bootstrap draw were a unit (about 63% are distinct), or per
+# (trees x rows) walk array of a predicting batch: 65,536 8-byte elements
 # are 512 KiB.  That holds 10 trees x 1280 rows x 5 candidates, so a
 # 10-tree reward fit on up to 35 columns is one batch; a flat 8,192
 # slowed such fits by a quarter
@@ -125,12 +134,20 @@ def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
     T = len(rngs)
     n, k = codes_sub.shape
     C = n_classes
+    # a node's counts, and the sums of their squares, are at most n**2;
+    # int32 holds that up to n = 46,340 and sums faster than int64
+    count = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
 
-    # units are (tree, bootstrap row) pairs still at an open node; a unit
-    # points at its node by slot in the current level's node table
-    u_row = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    # units are distinct (tree, bootstrap row) pairs still at an open
+    # node, weighted by how often the tree drew the row; a unit points at
+    # its node by slot in the current level's node table
+    draws = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    draws += np.repeat(np.arange(T, dtype=np.int64) * n, n)
+    tally = np.bincount(draws, minlength=T * n)
+    unit = np.flatnonzero(tally)
+    u_w = tally[unit].astype(np.float64)  # bincount weights are floats
+    u_slot, u_row = np.divmod(unit, n)
     u_y = y[u_row]
-    u_slot = np.repeat(np.arange(T, dtype=np.int64), n)
     # tree of each slot; slots stay sorted by tree from level to level
     act_tree = np.arange(T, dtype=np.int64)
     base = 0  # global id of the level's first node
@@ -139,8 +156,8 @@ def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
     for depth in range(max_depth + 1):
         n_act = act_tree.size
         hist = np.bincount(
-            u_slot * C + u_y, minlength=n_act * C
-        ).reshape(n_act, C)
+            u_slot * C + u_y, weights=u_w, minlength=n_act * C
+        ).astype(count).reshape(n_act, C)
         sizes = hist.sum(axis=1)
         is_leaf = (
             (depth >= max_depth or n_bins <= 1)
@@ -149,10 +166,21 @@ def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
         )
         split = np.flatnonzero(~is_leaf)
         if split.size:
-            split, col, sbin = _best_splits(
-                codes_sub, hist, sizes, split, act_tree, u_row, u_y, u_slot,
-                n_bins, rngs, min_leaf,
+            # keep the units of splittable slots only, pointing at their
+            # slot's rank among them
+            rank = np.full(n_act, -1, dtype=np.int64)
+            rank[split] = np.arange(split.size)
+            u_rank = rank[u_slot]
+            if split.size < n_act:
+                live = u_rank >= 0
+                u_row, u_y, u_w, u_rank = (
+                    a[live] for a in (u_row, u_y, u_w, u_rank)
+                )
+            gain, col, sbin = _best_splits(
+                codes_sub, hist[split], act_tree[split], u_row, u_y, u_w,
+                u_rank, n_bins, rngs, min_leaf,
             )
+            split, col, sbin = split[gain], col[gain], sbin[gain]
         S = split.size
 
         feature = np.full(n_act, -1, dtype=np.int64)
@@ -168,12 +196,12 @@ def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
         if S == 0:
             break
 
-        # route the units of split nodes to their children; drop the rest
-        rank = np.full(n_act, -1, dtype=np.int64)
-        rank[split] = np.arange(S)
-        u_rank = rank[u_slot]
-        live = u_rank >= 0
-        u_row, u_y, u_rank = u_row[live], u_y[live], u_rank[live]
+        # route the units of split nodes to their children; drop those of
+        # splittable slots that found no gain
+        if S < gain.size:
+            live = gain[u_rank]
+            u_row, u_y, u_w = u_row[live], u_y[live], u_w[live]
+            u_rank = (np.cumsum(gain) - 1)[u_rank[live]]
         go_right = codes_sub[u_row, col[u_rank]] > sbin[u_rank]
         u_slot = 2 * u_rank + go_right
         act_tree = np.repeat(act_tree[split], 2)
@@ -182,56 +210,53 @@ def _grow_batch(codes_sub, y, n_classes, cols, n_bins, rngs,
     return tuple(np.concatenate(parts) for parts in zip(*levels))
 
 
-def _best_splits(codes_sub, hist, sizes, split, act_tree, u_row, u_y, u_slot,
+def _best_splits(codes_sub, h_split, split_tree, u_row, u_y, u_w, u_rank,
                  B, rngs, min_leaf):
     """Best Gini split of each splittable slot over its candidate columns.
 
-    Returns the slots that gain, with the subset position of their column
-    and their split bin.  Scores are computed from integer counts, and the
-    argmin runs over (candidate, bin) in that order, so ties go to the
-    first candidate drawn, then the lowest bin.
+    ``h_split`` holds the splittable slots' class counts, and ``u_rank``
+    points each unit at its slot's row there.  Returns, per slot, whether
+    its best split gains, the subset position of its column and its split
+    bin.  Scores are computed from integer counts of ``h_split``'s dtype,
+    and the argmin runs over (candidate, bin) in that order, so ties go
+    to the first candidate drawn, then the lowest bin.
     """
-    C = hist.shape[1]
-    S = split.size
+    S, C = h_split.shape
+    count = h_split.dtype
     k = codes_sub.shape[1]
     m = max(1, math.isqrt(k))
 
     # candidate draws in slot order: one block per tree, trees ascending
-    counts = np.bincount(act_tree[split], minlength=len(rngs)).tolist()
+    counts = np.bincount(split_tree, minlength=len(rngs)).tolist()
     noise = np.concatenate(
         [rngs[t].random((c, k)) for t, c in enumerate(counts) if c]
     )
     cand = np.argsort(noise, axis=1, kind="stable")[:, :m]
-
-    rank = np.full(hist.shape[0], -1, dtype=np.int64)
-    rank[split] = np.arange(S)
-    u_rank = rank[u_slot]
-    live = u_rank >= 0
-    rank_l = u_rank[live]
-    code_l = np.take(
-        codes_sub, (u_row[live] * k)[:, None] + np.take(cand, rank_l, axis=0)
+    code = np.take(
+        codes_sub, (u_row * k)[:, None] + np.take(cand, u_rank, axis=0)
     )
 
     # class-major histogram (class, slot, candidate, bin): each class is
     # one contiguous slab, so sums over classes are slab-wise adds
-    key = ((u_y[live] * S + rank_l) * (m * B))[:, None] + np.arange(m) * B
-    key += code_l
-    jh = np.bincount(key.ravel(), minlength=C * S * m * B).reshape(C, S, m, B)
+    key = ((u_y * S + u_rank) * (m * B))[:, None] + np.arange(m) * B
+    key += code
+    jh = np.bincount(
+        key.ravel(), weights=np.repeat(u_w, m), minlength=C * S * m * B
+    ).astype(count).reshape(C, S, m, B)
 
     # score blocks of consecutive slots (see the module docstring)
-    h_split = hist[split]
-    sz = sizes[split]
+    sz = h_split.sum(axis=1, dtype=count)
     flat_best = np.empty(S, dtype=np.int64)
     best = np.empty(S)
     step = max(1, _SCORE_CELLS // (C * m * B))
     for lo in range(0, S, step):
         blk = slice(lo, lo + step)
-        cum = np.cumsum(jh[:, blk, :, :-1], axis=3)
-        nl = cum.sum(axis=0)
+        cum = np.cumsum(jh[:, blk, :, :-1], axis=3, dtype=count)
+        nl = cum.sum(axis=0, dtype=count)
         nr = sz[blk, None, None] - nl
-        left_sq = np.square(cum).sum(axis=0)
+        left_sq = np.square(cum).sum(axis=0, dtype=count)
         right = h_split[blk].T[:, :, None, None] - cum
-        right_sq = np.square(right, out=right).sum(axis=0)
+        right_sq = np.square(right, out=right).sum(axis=0, dtype=count)
         with np.errstate(divide="ignore", invalid="ignore"):
             score = (nl - left_sq / nl) + (nr - right_sq / nr)
         score[np.minimum(nl, nr) < min_leaf] = np.inf
@@ -240,12 +265,12 @@ def _best_splits(codes_sub, hist, sizes, split, act_tree, u_row, u_y, u_slot,
         best[blk] = score[np.arange(fb.size), fb]
 
     j_best, b_best = np.divmod(flat_best, B - 1)
-    parent = sz - np.square(h_split).sum(axis=1) / sz
+    parent = sz - np.square(h_split).sum(axis=1, dtype=count) / sz
     gain = np.isfinite(best) & (best < parent - 1e-12)
-    return split[gain], cand[gain, j_best[gain]], b_best[gain]
+    return gain, cand[np.arange(S), j_best], b_best
 
 
-def train_forest(train, subset, n_trees: int, seed: int = 0,
+def train_forest(train, subset, n_trees: int, seed: int,
                  max_depth: int = 12, min_leaf: int = 2) -> ForestModel:
     """Fit a bagged CART forest on the given feature columns.
 
@@ -340,9 +365,16 @@ def predict(model: ForestModel, ds) -> np.ndarray:
 def evaluate(model: ForestModel, test) -> MetricReport:
     """Score the model on a held-out fold, on the columns it was fitted on."""
     pred = predict(model, test)
-    cm = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
-    np.add.at(cm, (test.labels, pred), 1)
-    return metrics_from_confusion(cm)
+    return metrics_from_confusion(
+        confusion_matrix(test.labels, pred, model.n_classes)
+    )
+
+
+def confusion_matrix(labels, pred, n_classes: int) -> np.ndarray:
+    """(true x predicted) counts; ``pred`` may be one class for all rows."""
+    return np.bincount(
+        labels * n_classes + pred, minlength=n_classes * n_classes
+    ).reshape(n_classes, n_classes)
 
 
 def metrics_from_confusion(cm: np.ndarray) -> MetricReport:

@@ -130,6 +130,62 @@ class TestTrainForest:
         assert_array_equal(forest.predict(blocked, ds),
                            forest.predict(whole, ds))
 
+    def test_units_are_distinct_weighted_draws(self, monkeypatch):
+        # the root level of a 10-tree fit on 320 rows: one unit per
+        # distinct (tree, row) draw, weighted by its repeats
+        ds = separable_dataset(320, seed=8)
+        best_splits = forest._best_splits
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return best_splits(*args)
+
+        monkeypatch.setattr(forest, "_best_splits", spy)
+        forest.train_forest(ds, [0, 1, 2, 3], n_trees=10, seed=3)
+        _, h_split, split_tree, u_row, _, u_w, u_rank = calls[0][:7]
+        assert_array_equal(split_tree, np.arange(10))  # every root splits
+        assert u_row.size < 10 * 320
+        assert u_w.sum() == 10 * 320
+        assert h_split.sum() == 10 * 320
+        pair = split_tree[u_rank] * 320 + u_row
+        assert np.unique(pair).size == pair.size
+
+    def test_scores_exact_past_int32_squares(self):
+        # a stump on 50,000 rows, 95% of them class 0: the root's squared
+        # class counts pass 2**31, so int32 scores would wrap.  Its split
+        # must be the best of a brute-force int64 Gini search over the
+        # tree's own bootstrap
+        n, seed = 50_000, 4
+        rng = np.random.default_rng(0)
+        y = (rng.random(n) < 0.05).astype(np.int64)
+        x = (3.0 * y + rng.normal(size=n))[:, None]
+        ds = data.Dataset(x, y, ["a"], 2)
+        model = forest.train_forest(ds, [0], n_trees=1, seed=seed,
+                                    max_depth=1)
+
+        tree_rng = np.random.default_rng(
+            np.random.SeedSequence(seed).spawn(1)[0])
+        draw = tree_rng.integers(0, n, size=n)
+        codes = forest._binned(ds)[1][draw, 0].astype(np.int64)
+        counts = np.zeros((codes.max() + 1, 2), dtype=np.int64)
+        np.add.at(counts, (codes, y[draw]), 1)
+        total = counts.sum(axis=0)
+        assert total.max() ** 2 > 2**31
+        cum = np.cumsum(counts, axis=0)[:-1]
+        nl = cum.sum(axis=1)
+        nr = n - nl
+        score = ((nl - (cum**2).sum(axis=1) / nl)
+                 + (nr - ((total - cum)**2).sum(axis=1) / nr))
+        score[np.minimum(nl, nr) < 2] = np.inf
+        b = int(np.argmin(score))
+        assert score[b] < n - (total**2).sum() / n  # the split gains
+
+        assert_array_equal(model.feature, [0, -1, -1])
+        assert_array_equal(model.split_bin, [b, -1, -1])
+        assert_array_equal(model.leaf_class,
+                           [-1, cum[b].argmax(), (total - cum[b]).argmax()])
+
     def test_rejects_bad_subsets(self):
         ds = separable_dataset(50)
         with pytest.raises(ValueError):
@@ -345,6 +401,15 @@ class TestMetrics:
             report = forest.metrics_from_confusion(cm)
             assert_allclose(report.f1_micro, report.accuracy, rtol=1e-12)
 
+    def test_confusion_matrix_counts_true_by_predicted(self):
+        labels = np.array([0, 0, 1, 2, 2, 2])
+        assert_array_equal(
+            forest.confusion_matrix(labels, np.array([0, 1, 1, 2, 0, 2]), 3),
+            [[1, 1, 0], [0, 1, 0], [1, 0, 2]])
+        # one predicted class for every row, as the empty-subset baseline
+        assert_array_equal(forest.confusion_matrix(labels, 2, 3),
+                           [[0, 0, 2], [0, 0, 1], [0, 0, 3]])
+
     def test_as_dict_round_trips(self):
         cm = np.array([[3, 1], [0, 4]])
         d = forest.metrics_from_confusion(cm).as_dict()
@@ -369,7 +434,8 @@ class TestFitMemory:
         # 60 columns and 21.0 MiB on 240, growing with the candidates per
         # split; sized by rows times candidates, at 4.7 and 4.6 MiB.  The
         # pass that renumbered each tree's nodes into a block set that
-        # peak; nodes kept in growth order peak at 3.4 and 3.3 MiB
+        # peak; nodes kept in growth order peak at 3.4 and 3.3 MiB, and
+        # split searches over distinct (tree, row) units at 2.7 and 2.8
         ds, _ = data.synth_classification(2000, n_features, 10, seed=0)
         train = data.split_dataset(ds, 0.8, seed=0).train
         train.derived(forest._binned)
