@@ -301,9 +301,11 @@ class _Trainer:
     Rewards, utilities and states are kept on the training fold
     (``Dataset.derived``), keyed by every input besides the subset, so runs
     on one fold, such as the arms of a sweep, fit each reward forest and
-    compute each state once.  A subset's forest seed depends only on the
-    run seed and the subset, so a shared value equals the one a run would
-    compute itself.
+    compute each state once.  An episode's new subsets are scored in one
+    call, their forests grown together.  A subset's forest seed depends
+    only on the run seed and the subset, so neither call order nor the
+    other subsets of a call change a reward, and a shared value equals the
+    one a run would compute itself.
     """
 
     def __init__(self, split, config: TrainConfig):
@@ -339,13 +341,17 @@ class _Trainer:
         return hit
 
     def reward(self, subset: frozenset) -> float:
-        hit = self.rewards.get(subset)
-        if hit is None:
-            hit = self.rewards[subset] = _eval_reward(
-                subset, self.split, self.config.weights, self.config.seed,
-                n_trees=self.config.eval_trees,
-            )
-        return hit
+        if subset not in self.rewards:
+            self._evaluate([subset])
+        return self.rewards[subset]
+
+    def _evaluate(self, subsets: list) -> None:
+        """Score subsets missing from the reward table in one call."""
+        cfg = self.config
+        self.rewards.update(zip(subsets, _eval_reward(
+            subsets, self.split, cfg.weights, cfg.seed,
+            n_trees=cfg.eval_trees,
+        )))
 
     def utility(self, subset: frozenset) -> float:
         hit = self.utilities.get(subset)
@@ -361,10 +367,15 @@ class _Trainer:
         ``start_step`` is the number of environment steps taken before the
         episode; a step is advised while its global step stays within
         advise_steps, and otherwise gets its raw reward.  The final eval is
-        the last step's raw reward, the reward of the final subset.
+        the last step's raw reward, the reward of the final subset.  The
+        subsets missing from the reward table are scored first, in one
+        call.
         """
         cfg = self.config
         subsets = episode.subsets
+        new = [s for s in dict.fromkeys(subsets) if s not in self.rewards]
+        if new:
+            self._evaluate(new)
         raw = [self.reward(s) for s in subsets]
         advised = np.array(raw, dtype=np.float64)
         n = min(len(subsets), cfg.advise_steps - start_step)

@@ -74,26 +74,38 @@ def _subset_seed(seed: int, cols) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=[seed, tag])
 
 
-def eval_reward(subset, split, weights: RewardWeights, seed: int,
-                n_trees: int) -> float:
-    """Score a subset: held-out forest accuracy plus information terms.
+def eval_reward(subsets, split, weights: RewardWeights, seed: int,
+                n_trees: int) -> list:
+    """Score subsets: held-out forest accuracy plus information terms.
 
-    The forest trains on the split's train fold and scores on its test
-    fold; relevance and redundancy come from the train fold only.  The
-    forest seed mixes in the subset so caching never depends on call
-    order.  The empty subset scores 0.
+    Returns one reward per subset, in order.  Each forest trains on the
+    split's train fold and scores on its test fold; relevance and
+    redundancy come from the train fold only.  A subset's forest seed mixes
+    in the subset, and the forests of one call grow together tree by tree
+    (``forest.holdout_accuracy``), each tree from its own stream.  So
+    neither call order nor which subsets share a call changes a reward.
+    The empty subset scores 0.
     """
-    cols = sorted(int(c) for c in set(subset))
-    if not cols:
-        return 0.0
-    acc = 0.0
-    if weights.w_acc > 0:
-        sub_seed = _subset_seed(seed, cols)
-        model = forest.train_forest(split.train, cols, n_trees=n_trees,
-                                    seed=sub_seed.generate_state(1)[0])
-        acc = forest.evaluate(model, split.test).accuracy
-    rv = relevance(cols, split.train) if weights.w_rv else 0.0
-    rd = redundancy(cols, split.train) if weights.w_rd else 0.0
+    cols = [sorted(int(c) for c in set(s)) for s in subsets]
+    fitted = [i for i, c in enumerate(cols) if c]
+    acc = [0.0] * len(cols)
+    if weights.w_acc > 0 and fitted:
+        accs = forest.holdout_accuracy(
+            split.train, split.test, [cols[i] for i in fitted],
+            [_subset_seed(seed, cols[i]).generate_state(1)[0]
+             for i in fitted],
+            n_trees=n_trees,
+        )
+        for i, a in zip(fitted, accs):
+            acc[i] = a
+    return [_mix(c, a, split.train, weights) if c else 0.0
+            for c, a in zip(cols, acc)]
+
+
+def _mix(cols, acc, train, weights: RewardWeights) -> float:
+    """A non-empty subset's reward from its forest's accuracy."""
+    rv = relevance(cols, train) if weights.w_rv else 0.0
+    rd = redundancy(cols, train) if weights.w_rd else 0.0
     return weights.w_acc * acc + weights.w_rv * rv - weights.w_rd * rd
 
 

@@ -1,7 +1,8 @@
 """Helpers that only the tests need: flat parameter views of an MLP, a mean
 squared error loss and its gradient for checking MLP gradients, a CSV
 writer for datasets, the report payload of one run, the entropy of a code
-sequence, and the plain forms that the fast state statistics, Adam step,
+sequence, a few-level 3-class split with subsets of every candidate count
+up to 4, and the plain forms that the fast state statistics, Adam step,
 replay ring, stop rule, weight recalculation and returns are pinned
 against."""
 
@@ -164,3 +165,24 @@ def two_loop_returns(rewards, gamma: float, mode: str) -> np.ndarray:
             acc = gamma * acc + r[i]
             out[i] = acc
     return out
+
+
+def levels_split():
+    """3 classes on 160 training rows: integer columns of 2, 3 and 5
+    levels in turn, and column 17 constant."""
+    rng = np.random.default_rng(8)
+    x = np.empty((200, 18))
+    for c in range(17):
+        x[:, c] = rng.integers(0, (2, 3, 5)[c % 3], size=200)
+    x[:, 17] = 4.0
+    y = (x[:, 0] + x[:, 1] + x[:, 2] + rng.integers(0, 2, size=200)) % 3
+    ds = data.Dataset(x, y.astype(np.int64), [f"c{i}" for i in range(18)], 3)
+    return data.split_dataset(ds, 0.8, seed=0)
+
+
+# isqrt(columns) is 1, 2, 3 and 4 among these; at isqrt 1 and 2 the first
+# subset has the fewest bins, the constant column's single bin first
+LEVEL_SUBSETS = [
+    (17,), (0, 3, 6, 9), range(9), range(17), (0, 3), (2,),
+    (1, 4, 7, 10, 17), (2, 5, 8, 11, 14), range(3, 15), range(18),
+]

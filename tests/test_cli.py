@@ -570,20 +570,20 @@ class TestSweep:
     def test_arms_share_reward_forests(self, tmp_path, monkeypatch):
         # arms in one process share the inner fold's reward table, so a
         # subset that several arms score gets one reward forest
-        fits = []
+        forests = []  # subsets given to the batched reward scorer
         scored = {}  # each arm's scored subsets, by its config
-        train_forest = forest.train_forest
+        holdout_accuracy = forest.holdout_accuracy
         reward = engine._Trainer.reward
 
-        def counting(*args, **kwargs):
-            fits.append(kwargs["n_trees"])
-            return train_forest(*args, **kwargs)
+        def counting(train, test, subsets, seeds, n_trees):
+            forests.extend(frozenset(s) for s in subsets)
+            return holdout_accuracy(train, test, subsets, seeds, n_trees)
 
         def recording(tr, subset):
             scored.setdefault(tr.config, set()).add(subset)
             return reward(tr, subset)
 
-        monkeypatch.setattr(forest, "train_forest", counting)
+        monkeypatch.setattr(forest, "holdout_accuracy", counting)
         monkeypatch.setattr(engine._Trainer, "reward", recording)
         monkeypatch.setenv("MCFS_THREADS", "1")
         common = ["--synthetic", "120,6,2", "--episodes", "15", "--seed", "2"]
@@ -594,7 +594,8 @@ class TestSweep:
         distinct = set().union(*scored.values()) - {frozenset()}
         per_arm = sum(len(s - {frozenset()}) for s in scored.values())
         assert len(scored) == 3 and per_arm > len(distinct)
-        assert fits.count(engine.TrainConfig().eval_trees) == len(distinct)
+        # one forest per distinct non-empty subset
+        assert sorted(forests, key=sorted) == sorted(distinct, key=sorted)
         for v in values:
             one = tmp_path / f"run-{v}"
             assert cli.main(["run", *common, "--stop-threshold", v,

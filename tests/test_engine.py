@@ -486,8 +486,8 @@ class TestScore:
             if action == 1:
                 sub = sub | {feature}
             assert r == tr.reward(sub)
-        assert final_eval == rewards.eval_reward(
-            ep.subsets[-1], tr.split, tr.config.weights, tr.config.seed,
+        assert [final_eval] == rewards.eval_reward(
+            [ep.subsets[-1]], tr.split, tr.config.weights, tr.config.seed,
             n_trees=tr.config.eval_trees,
         )
 
@@ -502,21 +502,26 @@ class TestScore:
 
     def test_new_subsets_evaluated_once_in_first_seen_order(
             self, monkeypatch):
-        evaluated = []
+        calls = []
 
-        def spy(subset, split, weights, seed, n_trees):
-            evaluated.append(subset)
-            return float(len(subset))
+        def spy(subsets, split, weights, seed, n_trees):
+            calls.append(list(subsets))
+            return [float(len(s)) for s in subsets]
 
         monkeypatch.setattr(engine, "_eval_reward", spy)
         # a fresh split, so its reward table starts empty
         tr = engine._Trainer(small_split(), quick_config(advise_steps=0))
         walks = [random_walk(tr, seed) for seed in (11, 12, 13)]
         for ep in walks:
+            before = len(calls)
             tr.score(ep, 0)
+            # one call scores all of the episode's new subsets
+            batch = [s for s in dict.fromkeys(ep.subsets)
+                     if not any(s in c for c in calls[:before])]
+            assert calls[before:] == ([batch] if batch else [])
         seen = [sub for ep in walks for sub in ep.subsets]
         assert len(set(seen)) < len(seen)  # deselects repeat a subset
-        assert evaluated == list(dict.fromkeys(seen))
+        assert [s for c in calls for s in c] == list(dict.fromkeys(seen))
 
 
 
@@ -530,9 +535,10 @@ class TestTables:
     def test_reward_keys_are_complete(self, monkeypatch):
         calls = []
 
-        def spy(subset, split, weights, seed, n_trees):
+        def spy(subsets, split, weights, seed, n_trees):
+            [subset] = subsets  # a lookup miss is scored alone
             calls.append((subset, split.test, weights, seed, n_trees))
-            return 0.5
+            return [0.5]
 
         monkeypatch.setattr(engine, "_eval_reward", spy)
         sp = small_split()
@@ -617,8 +623,8 @@ class TestTrainLoop:
         sp = small_split()
         cfg = quick_config()
         rep = engine.train(sp, cfg)
-        direct = rewards.eval_reward(
-            frozenset(rep.best_subset), sp, cfg.weights, cfg.seed,
+        [direct] = rewards.eval_reward(
+            [frozenset(rep.best_subset)], sp, cfg.weights, cfg.seed,
             n_trees=cfg.eval_trees,
         )
         assert_allclose(rep.best_eval, direct, rtol=1e-12)
@@ -683,8 +689,8 @@ class TestTrainLoop:
         assert max(evals) < 0.0
         assert rep.best_eval == max(evals)
         assert len(rep.best_subset) >= 2
-        assert rep.best_eval == rewards.eval_reward(
-            frozenset(rep.best_subset), small_split(),
+        assert [rep.best_eval] == rewards.eval_reward(
+            [frozenset(rep.best_subset)], small_split(),
             rep.config.weights, rep.config.seed, n_trees=5,
         )
 

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mcfs import data, forest
+from support import LEVEL_SUBSETS, levels_split
 
 
 def separable_dataset(n=200, seed=0):
@@ -294,6 +295,38 @@ GOLDEN = [
 ]
 
 
+class TestHoldoutAccuracy:
+    def test_equals_each_forest_fitted_and_scored_alone(self, monkeypatch):
+        # 160 rows: 12, 6, 4 and 3 trees per batch at isqrt 1 to 4, so
+        # 5-tree forests span batches and batches mix forests
+        sp = levels_split()
+        grow = forest._grow_batch
+        batches = []
+
+        def spy(*args):
+            batches.append({tuple(c) for c in args[3]})
+            return grow(*args)
+
+        monkeypatch.setattr(forest, "_grow_batch", spy)
+        monkeypatch.setattr(forest, "_UNIT_BUDGET", 2000)
+        seeds = range(10, 10 + len(LEVEL_SUBSETS))
+        got = forest.holdout_accuracy(sp.train, sp.test, LEVEL_SUBSETS,
+                                      seeds, n_trees=5)
+        assert any(len(b) > 1 for b in batches)
+        monkeypatch.setattr(forest, "_UNIT_BUDGET", 65_536)
+        want = [forest.evaluate(forest.train_forest(sp.train, s, n_trees=5,
+                                                    seed=seed), sp.test)
+                .accuracy for s, seed in zip(LEVEL_SUBSETS, seeds)]
+        assert got == want
+
+    def test_rejects_bad_subsets(self):
+        sp = levels_split()
+        for bad in ([], [0, 18]):
+            with pytest.raises(ValueError):
+                forest.holdout_accuracy(sp.train, sp.test, [(0,), bad],
+                                        [0, 1], n_trees=2)
+
+
 class TestBinnedView:
     def test_matches_per_column_edges_and_codes(self):
         rng = np.random.default_rng(4)
@@ -434,13 +467,33 @@ class TestFitMemory:
         # 60 columns and 21.0 MiB on 240, growing with the candidates per
         # split; sized by rows times candidates, at 4.7 and 4.6 MiB.  The
         # pass that renumbered each tree's nodes into a block set that
-        # peak; nodes kept in growth order peak at 3.4 and 3.3 MiB, and
-        # split searches over distinct (tree, row) units at 2.7 and 2.8
+        # peak; nodes kept in growth order peak at 3.4 and 3.3 MiB, split
+        # searches over distinct (tree, row) units at 2.7 and 2.8, and
+        # with the bootstrap draws freed before the first level at 2.5
         ds, _ = data.synth_classification(2000, n_features, 10, seed=0)
         train = data.split_dataset(ds, 0.8, seed=0).train
         train.derived(forest._binned)
         _, peak = traced(lambda: forest.train_forest(
             train, range(n_features), n_trees=100, seed=0))
+        assert peak < 4 * 2**20
+
+
+class TestRewardBatchMemory:
+    def test_twenty_forest_call_peak_stays_bounded(self):
+        # 20 reward forests of 10 trees, 30 of 60 columns each, on a wide
+        # shape's inner training fold (1280 rows): growing batches hold
+        # about 10 trees, and the 20 forests' votes are 20 x 320 x 10.
+        # It peaked at 1.9 MiB
+        ds, _ = data.synth_classification(2000, 60, 10, seed=0)
+        outer = data.split_dataset(ds, 0.8, seed=0)
+        inner = data.split_dataset(outer.train, 0.8, seed=0)
+        assert inner.train.n_samples == 1280
+        inner.train.derived(forest._binned)
+        rng = np.random.default_rng(1)
+        subsets = [rng.choice(60, size=30, replace=False) for _ in range(20)]
+        accs, peak = traced(lambda: forest.holdout_accuracy(
+            inner.train, inner.test, subsets, range(20), n_trees=10))
+        assert len(accs) == 20
         assert peak < 4 * 2**20
 
 

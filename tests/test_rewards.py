@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from mcfs import data, forest, rewards
 from tabular_oracle import TabularMDP, check_invariance, value_iteration
+from support import LEVEL_SUBSETS, levels_split
 
 
 def labeled_dataset(n=120, seed=0):
@@ -98,18 +99,18 @@ class TestEvalReward:
         ds = labeled_dataset()
         sp = data.split_dataset(ds, 0.8, seed=0)
         w = rewards.RewardWeights()
-        score = rewards.eval_reward(frozenset(), sp, w, seed=0, n_trees=10)
-        assert score == 0.0
+        score = rewards.eval_reward([frozenset()], sp, w, seed=0, n_trees=10)
+        assert score == [0.0]
 
     def test_decomposes_into_components(self):
         ds, _ = data.synth_classification(150, 6, 2, seed=3)
         sp = data.split_dataset(ds, 0.8, seed=1)
         sub = {1, 4}
-        full = rewards.eval_reward(
-            sub, sp, rewards.RewardWeights(), seed=2, n_trees=10
+        [full] = rewards.eval_reward(
+            [sub], sp, rewards.RewardWeights(), seed=2, n_trees=10
         )
-        mi_only = rewards.eval_reward(
-            sub, sp, rewards.RewardWeights(w_acc=0.0), seed=2, n_trees=10
+        [mi_only] = rewards.eval_reward(
+            [sub], sp, rewards.RewardWeights(w_acc=0.0), seed=2, n_trees=10
         )
         rv = rewards.relevance(sub, sp.train)
         rd = rewards.redundancy(sub, sp.train)
@@ -129,11 +130,11 @@ class TestEvalReward:
         ds, _ = data.synth_classification(120, 5, 2, seed=4)
         sp = data.split_dataset(ds, 0.8, seed=2)
         w = rewards.RewardWeights()
-        a1 = rewards.eval_reward({0, 1}, sp, w, seed=5, n_trees=10)
-        b1 = rewards.eval_reward({2, 3}, sp, w, seed=5, n_trees=10)
+        [a1] = rewards.eval_reward([{0, 1}], sp, w, seed=5, n_trees=10)
+        [b1] = rewards.eval_reward([{2, 3}], sp, w, seed=5, n_trees=10)
         # fresh order, same answers
-        b2 = rewards.eval_reward({2, 3}, sp, w, seed=5, n_trees=10)
-        a2 = rewards.eval_reward({0, 1}, sp, w, seed=5, n_trees=10)
+        [b2] = rewards.eval_reward([{2, 3}], sp, w, seed=5, n_trees=10)
+        [a2] = rewards.eval_reward([{0, 1}], sp, w, seed=5, n_trees=10)
         assert a1 == a2
         assert b1 == b2
 
@@ -147,9 +148,29 @@ class TestEvalReward:
         ds = labeled_dataset(200, seed=6)
         sp = data.split_dataset(ds, 0.8, seed=3)
         w = rewards.RewardWeights()
-        good = rewards.eval_reward({0}, sp, w, seed=0, n_trees=10)
-        bad = rewards.eval_reward({1}, sp, w, seed=0, n_trees=10)
+        good, bad = rewards.eval_reward([{0}, {1}], sp, w, seed=0,
+                                        n_trees=10)
         assert good > bad
+
+
+class TestBatchedRewards:
+    def test_batch_equals_each_subset_alone(self, monkeypatch):
+        # subsets of isqrt 1 to 4 over 2-, 3- and 5-level columns and a
+        # constant one, plus a repeated subset and the empty one; a budget
+        # of 2000 cells makes the 5-tree forests span growing batches
+        sp = levels_split()
+        subsets = [*LEVEL_SUBSETS[:5], frozenset(), *LEVEL_SUBSETS[5:],
+                   LEVEL_SUBSETS[4]]
+        w = rewards.RewardWeights()
+        alone = [rewards.eval_reward([s], sp, w, seed=6, n_trees=5)[0]
+                 for s in subsets]
+        monkeypatch.setattr(forest, "_UNIT_BUDGET", 2000)
+        together = rewards.eval_reward(subsets, sp, w, seed=6, n_trees=5)
+        assert together == alone
+        assert together[5] == 0.0 and together[4] == together[-1]
+        # reversed, each subset keeps its reward
+        assert rewards.eval_reward(subsets[::-1], sp, w, seed=6,
+                                   n_trees=5) == alone[::-1]
 
 
 class TestShapedReward:

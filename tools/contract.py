@@ -7,9 +7,12 @@ The contract is that a command with the same flags writes the same
 outputs, apart from the wall-time fields.  The list holds every
 ``bench/run.py`` workload at seeds 0 and 7 with its own ``MCFS_THREADS``,
 each multi-worker workload again at ``MCFS_THREADS=1``, the default greedy
-``run --synthetic 500,20,5`` at seeds 0 and 7, and a random run whose every
-episode scores below zero.  Each command runs as ``python3 -m mcfs.cli``
-from this checkout's ``src``, with one BLAS thread.
+``run --synthetic 500,20,5`` at seeds 0 and 7, a random run whose every
+episode scores below zero, and a greedy ``run --data`` with stopping and
+advice on ``contract_data.csv`` (300 rows, 3 classes, columns of 1 to 300
+levels).  Each command runs as ``python3 -m mcfs.cli`` from this
+checkout's ``src``, with one BLAS thread, in an empty directory that holds
+only the command's input files, so a report names its CSV by file name.
 
 For each command the contract keeps its exit code and a SHA-256 of each
 file it writes and of its standard output, with the output directory
@@ -40,6 +43,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -48,6 +52,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 CONTRACT = Path(__file__).resolve().with_name("contract.json")
+DATA = CONTRACT.with_name("contract_data.csv")
 SEEDS = (0, 7)
 COMMAND_TIMEOUT_S = 600
 # the output directory's place in a masked standard output
@@ -59,6 +64,7 @@ class Command:
     name: str
     args: tuple  # mcfs subcommand and flags, without --out
     threads: int
+    inputs: tuple = ()  # files next to this script, copied to the work dir
 
 
 @functools.cache
@@ -79,9 +85,9 @@ def bench():
 def commands() -> list:
     found = []
 
-    def add(name, args, seed, threads):
+    def add(name, args, seed, threads, inputs=()):
         found.append(Command(f"{name} seed={seed} threads={threads}",
-                             (*args, "--seed", str(seed)), threads))
+                             (*args, "--seed", str(seed)), threads, inputs))
 
     workloads = bench().WORKLOADS.values()
     for w in workloads:
@@ -99,6 +105,10 @@ def commands() -> list:
                              "--weights", "0,0,1", "--behavior", "random",
                              "--stop-threshold", "0", "--episodes", "20"),
         3, 1)
+    # a CSV with 2-, 3- and 5-level columns, a constant one and 3 classes
+    add("csv-greedy", ("run", "--data", DATA.name, "--episodes", "40",
+                       "--stop-threshold", "0.5", "--advise-steps", "150"),
+        0, 1, (DATA.name,))
     return found
 
 
@@ -164,6 +174,8 @@ def first_difference(old: dict, new: dict) -> str | None:
 def run_command(cmd: Command, work: Path) -> dict:
     """Run one command in ``work``; its exit code and output digests."""
     out = work / "out"
+    for name in cmd.inputs:
+        shutil.copyfile(CONTRACT.with_name(name), work / name)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update({name: "1" for name in bench().BLAS_THREAD_VARS})
     env["PYTHONPATH"] = str(REPO / "src")
