@@ -34,10 +34,10 @@ a fit's working set does not grow with the column count.
 
 A batch's trees need not share their columns: each tree has its own row
 in a column table over the codes the batch reads, and its own bin count.
-``train_forest`` grows batches of one forest, every tree on the same
-subset.  ``holdout_accuracy`` grows the trees of many forests together,
+``_grow_forests`` grows the trees of one or many forests together,
 queued by candidate count, so a batch may hold several forests and a
-forest may span batches; each batch then walks the test fold at once.
+forest may span batches.  ``train_forest`` is its one-forest case, and
+``holdout_accuracy`` walks the test fold with each batch at once.
 Every tree draws only from its own stream, so neither the order of the
 calls nor the makeup of a batch changes a tree, a vote or a reward.
 """
@@ -315,21 +315,52 @@ def _columns(train, subset) -> np.ndarray:
     return cols
 
 
-def _check_growth(n_trees, max_depth, min_leaf):
-    """Rejects a forest without trees and non-positive tree limits."""
+def _grow_forests(train, subsets, seeds, n_trees, max_depth, min_leaf):
+    """Check a call that grows one forest per (subset, seed) pair, and
+    set it up: the call's column ids, ascending, and an iterator over its
+    batches.  Each forest's tree streams are spawned from its seed, and
+    the (forest, tree) pairs are queued by candidate count and cut into
+    batches of about ``_UNIT_BUDGET`` draws times candidates.  A batch is
+    each tree's forest, ascending, and ``_grow_batch``'s node arrays, with
+    ``feature`` a position among the call's column ids.
+    """
+    if len(subsets) != len(seeds):
+        raise ValueError("subsets and seeds must have the same length")
+    cols = [_columns(train, s) for s in subsets]
     if n_trees < 1:
         raise ValueError("n_trees must be positive")
     if max_depth < 1 or min_leaf < 1:
         raise ValueError("max_depth and min_leaf must be positive")
+    _, codes, nbins = train.derived(_binned)
+    # every batch reads the codes of the call's columns, and each tree
+    # its forest's positions among them
+    used = np.unique(np.concatenate(cols))
+    used_codes = np.ascontiguousarray(codes[:, used])
+    places = [np.searchsorted(used, c) for c in cols]
+    bins = np.array([nbins[c].max() for c in cols])
+
+    queues = {}  # candidate count, as _best_splits -> [(forest, stream)]
+    for f, (c, seed) in enumerate(zip(cols, seeds)):
+        queue = queues.setdefault(max(1, math.isqrt(c.size)), [])
+        queue.extend((f, s) for s in
+                     np.random.SeedSequence(seed).spawn(n_trees))
+
+    def batches():
+        for m, queue in queues.items():
+            size = max(1, _UNIT_BUDGET // (train.n_samples * m))
+            for start in range(0, len(queue), size):
+                owner, streams = zip(*queue[start:start + size])
+                yield np.array(owner), _grow_batch(
+                    used_codes, train.labels, train.n_classes,
+                    [places[f] for f in owner], bins[list(owner)],
+                    [np.random.default_rng(s) for s in streams],
+                    max_depth, min_leaf,
+                )
+
+    return used, batches()
 
 
-def _trees_per_batch(n_rows, m):
-    """Trees per growing batch: about ``_UNIT_BUDGET`` bootstrap draws
-    times m split candidates."""
-    return max(1, _UNIT_BUDGET // (n_rows * m))
-
-
-def train_forest(train, subset, n_trees: int, seed: int,
+def train_forest(train, subset, *, n_trees: int, seed: int,
                  max_depth: int = 12, min_leaf: int = 2) -> ForestModel:
     """Fit a bagged CART forest on the given feature columns.
 
@@ -337,33 +368,20 @@ def train_forest(train, subset, n_trees: int, seed: int,
     ``seed`` and considers sqrt(|subset|) random candidate columns per
     split (Gini).  Training on a single-class fold yields constant trees.
     """
-    cols = _columns(train, subset)
-    _check_growth(n_trees, max_depth, min_leaf)
-
-    edges, codes, nbins = train.derived(_binned)
-    codes_sub = np.ascontiguousarray(codes[:, cols])
-    own = np.arange(cols.size)  # every tree's columns: all of codes_sub
-    n_bins = nbins[cols].max()
-
-    streams = np.random.SeedSequence(seed).spawn(n_trees)
-    m = max(1, math.isqrt(cols.size))  # split candidates, as _best_splits
-    batch = _trees_per_batch(train.n_samples, m)
+    cols, batches = _grow_forests(train, [subset], [seed], n_trees,
+                                  max_depth, min_leaf)
     parts = []
     n_nodes = 0
-    for start in range(0, n_trees, batch):
-        rngs = [np.random.default_rng(s) for s in streams[start:start + batch]]
-        feature, split_bin, left, leaf_class = _grow_batch(
-            codes_sub, train.labels, train.n_classes, [own] * len(rngs),
-            np.full(len(rngs), n_bins), rngs, max_depth, min_leaf,
-        )
+    for owner, (feature, split_bin, left, leaf_class) in batches:
         feature = np.where(feature >= 0, cols[feature], -1)
         left[left >= 0] += n_nodes
-        roots = n_nodes + np.arange(len(rngs))  # the batch's first level
+        roots = n_nodes + np.arange(owner.size)  # the batch's first level
         parts.append((feature, split_bin, left, leaf_class, roots))
         n_nodes += feature.size
     feature, split_bin, left, leaf_class, roots = (
         np.concatenate(p) for p in zip(*parts)
     )
+    edges = train.derived(_binned)[0]
     return ForestModel(
         feature=feature, split_bin=split_bin, left=left,
         leaf_class=leaf_class, roots=roots,
@@ -432,51 +450,30 @@ def predict(model: ForestModel, ds) -> np.ndarray:
     return np.argmax(votes[0], axis=1)
 
 
-def holdout_accuracy(train, test, subsets, seeds, n_trees: int,
+def holdout_accuracy(train, test, subsets, seeds, *, n_trees: int,
                      max_depth: int = 12, min_leaf: int = 2) -> list:
     """Test-fold accuracy of one forest per subset, grown together.
 
-    Forest i is ``train_forest(train, subsets[i], n_trees, seeds[i], ...)``
-    scored by ``evaluate`` on ``test``, tree for tree and vote for vote.
-    Every (subset, tree) pair is queued by its split candidate count and
-    grown in batches of about ``_UNIT_BUDGET`` draws times candidates, so
-    one forest's trees may span batches and one batch may hold many
-    forests.  Each batch walks the test fold at once and adds its trees'
-    votes to their forests.  A tree draws only from its own stream, so
-    neither the other subsets of the call nor their order change an
-    accuracy.
+    Forest i is ``train_forest(train, subsets[i], n_trees=n_trees,
+    seed=seeds[i], ...)`` scored by ``evaluate`` on ``test``, tree for tree
+    and vote for vote.  Its trees are grown in ``_grow_forests``' batches,
+    which may mix forests; each batch walks the test fold at once and adds
+    its trees' votes to their forests.  A tree draws only from its own
+    stream, so neither the other subsets of the call nor their order
+    change an accuracy.
     """
-    cols = [_columns(train, s) for s in subsets]
-    _check_growth(n_trees, max_depth, min_leaf)
-    edges, codes, nbins = train.derived(_binned)
-    # every batch reads the codes of the call's columns, and each tree
-    # its forest's positions among them
-    used = np.unique(np.concatenate(cols))
-    train_codes = np.ascontiguousarray(codes[:, used])
-    test_codes = _fold_codes(edges, test, used.tolist())
-    places = [np.searchsorted(used, c) for c in cols]
-    bins = [nbins[c].max() for c in cols]
-
-    queues = {}  # candidate count -> [(forest, tree stream)]
-    for f, (c, seed) in enumerate(zip(cols, seeds)):
-        streams = np.random.SeedSequence(seed).spawn(n_trees)
-        queue = queues.setdefault(max(1, math.isqrt(c.size)), [])
-        queue.extend((f, s) for s in streams)
+    used, batches = _grow_forests(train, subsets, seeds, n_trees,
+                                  max_depth, min_leaf)
+    test_codes = _fold_codes(train.derived(_binned)[0], test, used.tolist())
     C = train.n_classes
-    votes = np.zeros((len(cols), test.n_samples, C), dtype=np.int64)
-    for m, queue in queues.items():
-        batch = _trees_per_batch(train.n_samples, m)
-        for start in range(0, len(queue), batch):
-            owner, streams = zip(*queue[start:start + batch])
-            rngs = [np.random.default_rng(s) for s in streams]
-            # a queue holds its forests in ascending order, so a batch
-            # votes into one range of them; its nodes are dropped once
-            # they have voted
-            lo, hi = owner[0], owner[-1] + 1
-            _add_votes(votes[lo:hi], *_grow_batch(
-                train_codes, train.labels, C, [places[f] for f in owner],
-                np.array([bins[f] for f in owner]), rngs, max_depth, min_leaf,
-            ), np.arange(len(owner)), np.array(owner) - lo, test_codes)
+    votes = np.zeros((len(subsets), test.n_samples, C), dtype=np.int64)
+    for owner, nodes in batches:
+        # a batch votes into one range of forests; its nodes are dropped
+        # once they have voted, before the next batch grows
+        lo, hi = owner[0], owner[-1] + 1
+        _add_votes(votes[lo:hi], *nodes, np.arange(owner.size), owner - lo,
+                   test_codes)
+        del nodes
     return [
         metrics_from_confusion(
             confusion_matrix(test.labels, np.argmax(v, axis=1), C)

@@ -577,7 +577,8 @@ class TestSweep:
 
         def counting(train, test, subsets, seeds, n_trees):
             forests.extend(frozenset(s) for s in subsets)
-            return holdout_accuracy(train, test, subsets, seeds, n_trees)
+            return holdout_accuracy(train, test, subsets, seeds,
+                                    n_trees=n_trees)
 
         def recording(tr, subset):
             scored.setdefault(tr.config, set()).add(subset)

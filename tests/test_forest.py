@@ -187,6 +187,14 @@ class TestTrainForest:
         assert_array_equal(model.leaf_class,
                            [-1, cum[b].argmax(), (total - cum[b]).argmax()])
 
+    def test_tree_count_and_seed_are_keyword_only(self):
+        # the tracer and the tests read the tree count by keyword
+        ds = separable_dataset(50)
+        with pytest.raises(TypeError):
+            forest.train_forest(ds, [0, 1], 2, 0)
+        with pytest.raises(TypeError):
+            forest.train_forest(ds, [0, 1], 2, seed=0)
+
     def test_rejects_bad_subsets(self):
         ds = separable_dataset(50)
         with pytest.raises(ValueError):
@@ -325,6 +333,56 @@ class TestHoldoutAccuracy:
             with pytest.raises(ValueError):
                 forest.holdout_accuracy(sp.train, sp.test, [(0,), bad],
                                         [0, 1], n_trees=2)
+
+    @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]])
+    def test_rejects_unequal_subsets_and_seeds(self, monkeypatch, seeds):
+        # zip would drop the extra entries: a subset without a seed grew
+        # no tree and scored the test fold's class-0 share
+        ds, _ = data.synth_classification(300, 8, 3, seed=0)
+        sp = data.split_dataset(ds, 0.8, seed=0)
+        grown = []
+        monkeypatch.setattr(forest, "_grow_batch",
+                            lambda *args: grown.append(args))
+        with pytest.raises(ValueError):
+            forest.holdout_accuracy(sp.train, sp.test, [[0, 1], [2, 3]],
+                                    seeds, n_trees=5)
+        assert grown == []
+
+    def test_tree_count_is_keyword_only(self):
+        sp = levels_split()
+        with pytest.raises(TypeError):
+            forest.holdout_accuracy(sp.train, sp.test, [(0,)], [0], 2)
+
+    @pytest.mark.parametrize("unit_budget", [1, 2000, forest._UNIT_BUDGET])
+    def test_one_subset_grows_train_forest_batches(self, monkeypatch,
+                                                   unit_budget):
+        # 160 rows and 3 candidates: 10 trees grow in batches of 1, of
+        # 4, 4 and 2, or as one batch.  Both calls must hand the kernel
+        # the same trees, columns, bin counts and generator states
+        sp = levels_split()
+        grow = forest._grow_batch
+        calls = []
+
+        def spy(*args):
+            codes, _, _, tree_cols, tree_bins, rngs = args[:6]
+            calls.append((codes, [c.tolist() for c in tree_cols],
+                          tree_bins.tolist(),
+                          [r.bit_generator.state for r in rngs], args[6:]))
+            return grow(*args)
+
+        monkeypatch.setattr(forest, "_grow_batch", spy)
+        monkeypatch.setattr(forest, "_UNIT_BUDGET", unit_budget)
+        forest.train_forest(sp.train, range(9), n_trees=10, seed=4)
+        fit = calls[:]
+        calls.clear()
+        forest.holdout_accuracy(sp.train, sp.test, [range(9)], [4],
+                                n_trees=10)
+        sizes = {1: [1] * 10, 2000: [4, 4, 2]}.get(unit_budget, [10])
+        assert [len(c[1]) for c in fit] == sizes
+        for (codes_a, *rest_a), (codes_b, *rest_b) in zip(fit, calls,
+                                                          strict=True):
+            assert_array_equal(codes_a, codes_b)
+            assert rest_a == rest_b
 
 
 class TestBinnedView:
