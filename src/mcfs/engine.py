@@ -301,11 +301,13 @@ class _Trainer:
     Rewards, utilities and states are kept on the training fold
     (``Dataset.derived``), keyed by every input besides the subset, so runs
     on one fold, such as the arms of a sweep, fit each reward forest and
-    compute each state once.  An episode's new subsets are scored in one
-    call, their forests grown together.  A subset's forest seed depends
-    only on the run seed and the subset, so neither call order nor the
-    other subsets of a call change a reward, and a shared value equals the
-    one a run would compute itself.
+    compute each state once.  Only ``score`` scores: it scores an
+    episode's new subsets in one call, their forests grown together.
+    ``reward`` is a table lookup that never scores, so a subset that no
+    ``score`` call has scored raises ``KeyError``.  A subset's forest seed
+    depends only on the run seed and the subset, so neither call order nor
+    the other subsets of a call change a reward, and a shared value equals
+    the one a run would compute itself.
     """
 
     def __init__(self, split, config: TrainConfig):
@@ -341,17 +343,7 @@ class _Trainer:
         return hit
 
     def reward(self, subset: frozenset) -> float:
-        if subset not in self.rewards:
-            self._evaluate([subset])
         return self.rewards[subset]
-
-    def _evaluate(self, subsets: list) -> None:
-        """Score subsets missing from the reward table in one call."""
-        cfg = self.config
-        self.rewards.update(zip(subsets, _eval_reward(
-            subsets, self.split, cfg.weights, cfg.seed,
-            n_trees=cfg.eval_trees,
-        )))
 
     def utility(self, subset: frozenset) -> float:
         hit = self.utilities.get(subset)
@@ -375,7 +367,10 @@ class _Trainer:
         subsets = episode.subsets
         new = [s for s in dict.fromkeys(subsets) if s not in self.rewards]
         if new:
-            self._evaluate(new)
+            self.rewards.update(zip(new, _eval_reward(
+                new, self.split, cfg.weights, cfg.seed,
+                n_trees=cfg.eval_trees,
+            )))
         raw = [self.reward(s) for s in subsets]
         advised = np.array(raw, dtype=np.float64)
         n = min(len(subsets), cfg.advise_steps - start_step)

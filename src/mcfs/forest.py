@@ -5,7 +5,8 @@ once, and a fitted forest is one flat set of node arrays (see
 ``ForestModel``).  Neither growing nor predicting loops over nodes in
 Python; the only per-tree loops draw each tree's random numbers.  A
 training fold's bin edges and codes are computed once for all its columns
-and kept on the dataset (``Dataset.derived``).
+and kept on the dataset (``Dataset.derived``); ``_fold_codes`` codes every
+fold, training or test, by those edges.
 
 Nodes stay in growth order, so a batch's trees interleave; prediction
 starts at each tree's root and follows child links only.
@@ -31,6 +32,7 @@ candidates) arrays of histogram keys and weights, hold at most about
 ``_UNIT_BUDGET`` elements: the budget bounds bootstrap draws, and units
 are never more than draws.  A split has isqrt(columns) candidates.  So
 a fit's working set does not grow with the column count.
+``_grow_forests`` works that count out and hands it to the kernel.
 
 A batch's trees need not share their columns: each tree has its own row
 in a column table over the codes the batch reads, and its own bin count.
@@ -59,9 +61,11 @@ MAX_BINS = 32
 # slowed such fits by a quarter
 _UNIT_BUDGET = 65_536
 
-# cells per split-scoring block: 128 KiB per int64 temporary fits in L2.
-# Blocks of 4,096 to 32,768 cells fitted equally fast; from 262,144 cells
-# on, the speed-up over whole-level scoring was gone
+# cells per split-scoring block: on folds of up to 46,340 rows its integer
+# temporaries are int32, 64 KiB each (int64 beyond), and its float scores
+# 128 KiB; they fit in L2.  Blocks of 4,096 to 32,768 cells fitted equally
+# fast; from 262,144 cells on, the speed-up over whole-level scoring was
+# gone
 _SCORE_CELLS = 16_384
 
 
@@ -113,29 +117,36 @@ def _column_edges(values: np.ndarray) -> np.ndarray:
     return np.unique(np.quantile(values, qs))
 
 
+def _fold_codes(edges, ds, cols) -> np.ndarray:
+    """A fold's codes on the given columns, by the training fold's edges."""
+    codes = np.empty((ds.n_samples, len(cols)), dtype=np.uint8)
+    for j, c in enumerate(cols):
+        codes[:, j] = np.searchsorted(edges[c], ds.features[:, c],
+                                      side="left")
+    return codes
+
+
 def _binned(ds):
     """Every column's edges, its uint8 codes as one (rows, columns) matrix,
     and its bin count; kept on the dataset by ``Dataset.derived``."""
     edges = [_column_edges(col) for col in ds.features.T]
-    codes = np.empty(ds.features.shape, dtype=np.uint8)
-    for c, e in enumerate(edges):
-        codes[:, c] = np.searchsorted(e, ds.features[:, c], side="left")
+    codes = _fold_codes(edges, ds, range(ds.n_features))
     nbins = np.array([e.size + 1 for e in edges], dtype=np.int64)
     return edges, codes, nbins
 
 
-def _grow_batch(codes, y, n_classes, tree_cols, tree_bins, rngs,
+def _grow_batch(codes, y, n_classes, tree_cols, tree_bins, rngs, m,
                 max_depth, min_leaf):
     """Grow one bootstrap tree per rng, all trees level by level at once.
 
     Tree t splits on the columns of ``codes`` listed in ``tree_cols[t]``,
-    whose largest bin count is ``tree_bins[t]``.  Every tree's column count
-    must have the same isqrt, so all trees draw the same number of split
-    candidates.  Every per-tree random draw comes from that tree's own
-    generator in a fixed order: the bootstrap, then one ``random((splittable
-    nodes, columns))`` per level that has splittable nodes.  A tree
-    therefore does not depend on which other trees share its batch, nor on
-    the columns of ``codes`` it does not use.
+    whose largest bin count is ``tree_bins[t]``.  Every split draws ``m``
+    candidates, the count ``_grow_forests`` queued the batch's trees by.
+    Every per-tree random draw comes from that tree's own generator in a
+    fixed order: the bootstrap, then one ``random((splittable nodes,
+    columns))`` per level that has splittable nodes.  A tree therefore
+    does not depend on which other trees share its batch, nor on the
+    columns of ``codes`` it does not use.
 
     Returns the node arrays ``(feature, split_bin, left, leaf_class)``, where
     ``feature`` holds positions in ``codes``.  Node ids are batch-global in
@@ -193,7 +204,7 @@ def _grow_batch(codes, y, n_classes, tree_cols, tree_bins, rngs,
                 )
             gain, col, sbin = _best_splits(
                 codes, hist[split], act_tree[split], u_row, u_y, u_w,
-                u_rank, table, widths, B, rngs, min_leaf,
+                u_rank, table, widths, m, B, rngs, min_leaf,
             )
             split, col, sbin = split[gain], col[gain], sbin[gain]
         S = split.size
@@ -237,20 +248,20 @@ def _bootstrap_units(rngs, n):
 
 
 def _best_splits(codes, h_split, split_tree, u_row, u_y, u_w, u_rank,
-                 table, widths, B, rngs, min_leaf):
+                 table, widths, m, B, rngs, min_leaf):
     """Best Gini split of each splittable slot over its candidate columns.
 
     ``h_split`` holds the splittable slots' class counts, and ``u_rank``
     points each unit at its slot's row there.  Tree t's columns are the
-    first ``widths[t]`` positions of ``table[t]``.  Returns, per slot,
-    whether its best split gains, its column's position in ``codes`` and
-    its split bin.  Scores are computed from integer counts of
+    first ``widths[t]`` positions of ``table[t]``, and a slot's ``m``
+    candidates are the first of them in its tree's random order.  Returns,
+    per slot, whether its best split gains, its column's position in
+    ``codes`` and its split bin.  Scores are computed from integer counts of
     ``h_split``'s dtype, and the argmin runs over (candidate, bin) in that
     order, so ties go to the first candidate drawn, then the lowest bin.
     """
     S, C = h_split.shape
     count = h_split.dtype
-    m = max(1, math.isqrt(int(widths[0])))
 
     # candidate draws in slot order: one (slots, width) block per tree,
     # trees ascending; columns past a tree's own width never rank among
@@ -319,10 +330,11 @@ def _grow_forests(train, subsets, seeds, n_trees, max_depth, min_leaf):
     """Check a call that grows one forest per (subset, seed) pair, and
     set it up: the call's column ids, ascending, and an iterator over its
     batches.  Each forest's tree streams are spawned from its seed, and
-    the (forest, tree) pairs are queued by candidate count and cut into
-    batches of about ``_UNIT_BUDGET`` draws times candidates.  A batch is
-    each tree's forest, ascending, and ``_grow_batch``'s node arrays, with
-    ``feature`` a position among the call's column ids.
+    the (forest, tree) pairs are queued by candidate count, the isqrt of
+    the subset's size, and cut into batches of about ``_UNIT_BUDGET``
+    draws times candidates; ``_grow_batch`` is handed that count.  A batch
+    is each tree's forest, ascending, and ``_grow_batch``'s node arrays,
+    with ``feature`` a position among the call's column ids.
     """
     if len(subsets) != len(seeds):
         raise ValueError("subsets and seeds must have the same length")
@@ -339,9 +351,9 @@ def _grow_forests(train, subsets, seeds, n_trees, max_depth, min_leaf):
     places = [np.searchsorted(used, c) for c in cols]
     bins = np.array([nbins[c].max() for c in cols])
 
-    queues = {}  # candidate count, as _best_splits -> [(forest, stream)]
+    queues = {}  # candidate count -> [(forest, stream)]
     for f, (c, seed) in enumerate(zip(cols, seeds)):
-        queue = queues.setdefault(max(1, math.isqrt(c.size)), [])
+        queue = queues.setdefault(math.isqrt(c.size), [])
         queue.extend((f, s) for s in
                      np.random.SeedSequence(seed).spawn(n_trees))
 
@@ -353,7 +365,7 @@ def _grow_forests(train, subsets, seeds, n_trees, max_depth, min_leaf):
                 yield np.array(owner), _grow_batch(
                     used_codes, train.labels, train.n_classes,
                     [places[f] for f in owner], bins[list(owner)],
-                    [np.random.default_rng(s) for s in streams],
+                    [np.random.default_rng(s) for s in streams], m,
                     max_depth, min_leaf,
                 )
 
@@ -421,15 +433,6 @@ def _add_votes(votes, node_col, split_bin, left, leaf_class, roots, owner,
         votes += np.bincount(
             key * C + leaf_class[node], minlength=votes.size
         ).reshape(votes.shape)
-
-
-def _fold_codes(edges, ds, cols) -> np.ndarray:
-    """A fold's codes on the given columns, by the training fold's edges."""
-    codes = np.empty((ds.n_samples, len(cols)), dtype=np.uint8)
-    for j, c in enumerate(cols):
-        codes[:, j] = np.searchsorted(edges[c], ds.features[:, c],
-                                      side="left")
-    return codes
 
 
 def predict(model: ForestModel, ds) -> np.ndarray:

@@ -3,15 +3,16 @@ squared error loss and its gradient for checking MLP gradients, a CSV
 writer for datasets, the report payload of one run, the entropy of a code
 sequence, a few-level 3-class split with subsets of every candidate count
 up to 4, and the plain forms that the fast state statistics, Adam step,
-replay ring, stop rule, weight recalculation and returns are pinned
-against."""
+replay ring, stop rule, weight recalculation, returns and root split search
+are pinned against."""
 
 import csv
+import math
 from collections import deque
 
 import numpy as np
 
-from mcfs import cli, data, nn
+from mcfs import cli, data, forest, nn
 
 
 def get_flat(net) -> np.ndarray:
@@ -186,3 +187,60 @@ LEVEL_SUBSETS = [
     (17,), (0, 3, 6, 9), range(9), range(17), (0, 3), (2,),
     (1, 4, 7, 10, 17), (2, 5, 8, 11, 14), range(3, 15), range(18),
 ]
+
+
+def root_split(train, subset, seed, n_trees, t, min_leaf):
+    """Tree t of ``train_forest(train, subset, n_trees=n_trees, seed=seed,
+    max_depth=1, min_leaf=min_leaf)``, one (candidate, bin) at a time from
+    Python-int class counts: the reference for the split search.
+
+    Returns the tree's (feature, split_bin, left, leaf_class) rows in the
+    local numbering of ``tree_nodes`` in ``test_forest.py``, and its root's
+    candidate columns in draw order (empty when the root is a leaf).
+    """
+    _, codes, nbins = forest._binned(train)
+    cols = sorted(set(subset))
+    y = train.labels.tolist()
+    C = train.n_classes
+    stream = np.random.SeedSequence(seed).spawn(n_trees)[t]
+    rng = np.random.default_rng(stream)
+    draws = rng.integers(0, train.n_samples, size=train.n_samples).tolist()
+    parent = [0] * C
+    for i in draws:
+        parent[y[i]] += 1
+    n = len(draws)
+
+    def leaf(counts):
+        return counts.index(max(counts))  # the first class on ties
+
+    stump = [[-1], [-1], [-1], [leaf(parent)]]
+    # every column is scored over the forest's largest bin count; a
+    # column's bins past its own leave its right child empty
+    B = max(int(nbins[c]) for c in cols)
+    if B <= 1 or n < 2 * min_leaf or max(parent) == n:
+        return stump, []
+    order = np.argsort(rng.random(len(cols)), kind="stable").tolist()
+    cand = [cols[j] for j in order[:max(1, math.isqrt(len(cols)))]]
+
+    best = (math.inf, None, None, None)  # score, column, bin, left counts
+    for c in cand:
+        code = codes[:, c].tolist()
+        for b in range(B - 1):
+            left = [0] * C
+            for i in draws:
+                if code[i] <= b:
+                    left[y[i]] += 1
+            right = [p - q for p, q in zip(parent, left)]
+            nl, nr = sum(left), sum(right)
+            if min(nl, nr) < min_leaf:
+                continue
+            score = ((nl - sum(q * q for q in left) / nl)
+                     + (nr - sum(q * q for q in right) / nr))
+            if score < best[0]:  # the first minimum wins
+                best = (score, c, b, left)
+    score, c, b, left = best
+    if not score < n - sum(p * p for p in parent) / n - 1e-12:
+        return stump, cand
+    right = [p - q for p, q in zip(parent, left)]
+    return [[c, -1, -1], [b, -1, -1], [1, -1, -1],
+            [-1, leaf(left), leaf(right)]], cand

@@ -536,7 +536,7 @@ class TestTables:
         calls = []
 
         def spy(subsets, split, weights, seed, n_trees):
-            [subset] = subsets  # a lookup miss is scored alone
+            [subset] = subsets  # the episode's one subset
             calls.append((subset, split.test, weights, seed, n_trees))
             return [0.5]
 
@@ -554,8 +554,13 @@ class TestTables:
             (sp, replace(base, seed=4)),
             (other_test, base),
         ]
+        # score reads only the episode's subsets, so one step may carry
+        # the whole subset; a start past advise_steps advises no step
+        episode = scripted_episode([(2, 1)], [self.SUBSET])
         for split, config in runs:
-            assert engine._Trainer(split, config).reward(self.SUBSET) == 0.5
+            tr = engine._Trainer(split, config)
+            final_eval, _ = tr.score(episode, config.advise_steps)
+            assert final_eval == tr.reward(self.SUBSET) == 0.5
         assert calls == [
             (self.SUBSET, sp.test, base.weights, 3, 5),
             (self.SUBSET, sp.test, weights, 3, 5),
@@ -563,6 +568,17 @@ class TestTables:
             (self.SUBSET, sp.test, base.weights, 4, 5),
             (self.SUBSET, other_test.test, base.weights, 3, 5),
         ]
+
+    def test_reward_is_a_lookup(self, monkeypatch):
+        # only score scores: a subset that no score call has scored is
+        # missing from the table, and looking it up scores nothing
+        calls = []
+        monkeypatch.setattr(engine, "_eval_reward",
+                            lambda *args, **kw: calls.append(args))
+        tr = engine._Trainer(small_split(), quick_config())
+        with pytest.raises(KeyError):
+            tr.reward(self.SUBSET)
+        assert calls == []
 
     def test_utility_keys_are_complete(self, monkeypatch):
         calls = []

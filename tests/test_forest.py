@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mcfs import data, forest
-from support import LEVEL_SUBSETS, levels_split
+from support import LEVEL_SUBSETS, levels_split, root_split
 
 
 def separable_dataset(n=200, seed=0):
@@ -383,6 +383,48 @@ class TestHoldoutAccuracy:
                                                           strict=True):
             assert_array_equal(codes_a, codes_b)
             assert rest_a == rest_b
+
+
+class TestRootSplitReference:
+    """Every tree of a stump forest against ``support.root_split``: the
+    candidates drawn from the tree's own stream, exact scores, the first
+    minimum over (candidate, bin), and the gain and leaf rules."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    # 1, 2 and 3 candidates
+    @pytest.mark.parametrize("subset", [(4,), (0, 2, 5, 7), range(9)],
+                             ids=["1col", "4col", "9col"])
+    def test_stumps_match_reference(self, n_classes, min_leaf, subset):
+        ds, _ = data.synth_classification(120, 9, 4, seed=n_classes,
+                                          n_classes=n_classes)
+        model = forest.train_forest(ds, subset, n_trees=8, seed=min_leaf,
+                                    max_depth=1, min_leaf=min_leaf)
+        assert (model.feature >= 0).any()
+        for t, nodes in enumerate(tree_nodes(model)):
+            want, _ = root_split(ds, subset, min_leaf, 8, t, min_leaf)
+            assert_array_equal(nodes, want)
+
+    def test_identical_columns_tie_to_first_drawn(self):
+        # columns 0 and 1 are the same informative column, 2 and 3 noise:
+        # a root that draws both as its 2 candidates of 4 scores them
+        # equal, and must split on the one drawn first
+        rng = np.random.default_rng(5)
+        y = rng.integers(0, 2, size=150)
+        x = rng.normal(size=(150, 4))
+        x[:, 0] = x[:, 1] = y + 0.8 * rng.normal(size=150)
+        ds = data.Dataset(x, y, ["a", "b", "c", "d"], 2)
+        model = forest.train_forest(ds, range(4), n_trees=40, seed=1,
+                                    max_depth=1)
+        winners = []
+        for t, nodes in enumerate(tree_nodes(model)):
+            want, cand = root_split(ds, range(4), 1, 40, t, 2)
+            assert_array_equal(nodes, want)
+            if set(cand) == {0, 1}:
+                assert nodes[0, 0] == cand[0]
+                winners.append(cand[0])
+        # ties went both ways: by draw order, not by column id
+        assert set(winners) == {0, 1}
 
 
 class TestBinnedView:
