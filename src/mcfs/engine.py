@@ -7,14 +7,16 @@ degenerate episodes short: a step survives with probability
 min(1, importance / stop_threshold) and the walk stops with the
 complement.  The walk needs no reward.  It returns one ``Episode`` of
 per-step columns: ``steps``, ``states``, ``actions``, ``importance``,
-``survival`` and ``subsets``.  The episode is scored from ``subsets`` once
-it ends: each step gets its subset's reward, advised by an
-information-theoretic potential for the first advise_steps environment
-steps.  Training reads the other columns as they are: ``importance`` and
-``survival`` reweight the steps (rejection control) and feed the replay
-memory's mean survival, and ``states`` and ``actions`` go to replay.
-Weighted returns train the value net from replay.  The final greedy
-selection is the same walk with an argmax, never-stopping policy.
+``survival`` and ``subsets``.  Once it ends, the generator ``steps``
+yields the walk's subsets that the reward table lacks, and its driver sends
+their rewards back; ``train`` is the serial driver and the one scorer.
+Each step gets its subset's reward, advised by an information-theoretic
+potential for the first advise_steps environment steps.  Training reads the
+other columns as they are: ``importance`` and ``survival`` reweight the
+steps (rejection control) and feed the replay memory's mean survival, and
+``states`` and ``actions`` go to replay.  Weighted returns train the value
+net from replay.  The final greedy selection is the same walk with an
+argmax, never-stopping policy.
 """
 
 from __future__ import annotations
@@ -301,13 +303,12 @@ class _Trainer:
     Rewards, utilities and states are kept on the training fold
     (``Dataset.derived``), keyed by every input besides the subset, so runs
     on one fold, such as the arms of a sweep, fit each reward forest and
-    compute each state once.  Only ``score`` scores: it scores an
-    episode's new subsets in one call, their forests grown together.
-    ``reward`` is a table lookup that never scores, so a subset that no
-    ``score`` call has scored raises ``KeyError``.  A subset's forest seed
-    depends only on the run seed and the subset, so neither call order nor
-    the other subsets of a call change a reward, and a shared value equals
-    the one a run would compute itself.
+    compute each state once.  The trainer scores nothing: ``steps`` writes
+    the rewards its driver sends, and ``reward`` and ``score`` only read
+    the table, so a subset never scored raises ``KeyError``.  A subset's
+    forest seed depends only on the run seed and the subset, so neither
+    call order nor the other subsets of a call change a reward, and a
+    shared value equals the one a run would compute itself.
     """
 
     def __init__(self, split, config: TrainConfig):
@@ -359,18 +360,11 @@ class _Trainer:
         ``start_step`` is the number of environment steps taken before the
         episode; a step is advised while its global step stays within
         advise_steps, and otherwise gets its raw reward.  The final eval is
-        the last step's raw reward, the reward of the final subset.  The
-        subsets missing from the reward table are scored first, in one
-        call.
+        the last step's raw reward, the reward of the final subset.  Every
+        subset must already be in the reward table.
         """
         cfg = self.config
         subsets = episode.subsets
-        new = [s for s in dict.fromkeys(subsets) if s not in self.rewards]
-        if new:
-            self.rewards.update(zip(new, _eval_reward(
-                new, self.split, cfg.weights, cfg.seed,
-                n_trees=cfg.eval_trees,
-            )))
         raw = [self.reward(s) for s in subsets]
         advised = np.array(raw, dtype=np.float64)
         n = min(len(subsets), cfg.advise_steps - start_step)
@@ -383,8 +377,11 @@ class _Trainer:
         return raw[-1], advised
 
 
-def train(split, config: TrainConfig) -> RunReport:
-    """Run the full training loop and return the audited report."""
+def steps(split, config: TrainConfig):
+    """The training loop.  Yields each walk's subsets that the reward table
+    lacks, first seen first, takes their rewards in that order through
+    ``send`` (a reply of another length raises ``ValueError`` and writes
+    nothing) and returns the ``RunReport``."""
     t_start = time.perf_counter()
     tr = _Trainer(split, config)
     curves = []
@@ -408,6 +405,10 @@ def train(split, config: TrainConfig) -> RunReport:
             tr.qnet, rerank_features(tr.counts), tr.represent, choose,
             config.stop_threshold, stop,
         )
+        new = [s for s in dict.fromkeys(episode.subsets)
+               if s not in tr.rewards]
+        if new:
+            tr.rewards.update(dict(zip(new, (yield new), strict=True)))
         final_eval, advised = tr.score(episode, steps_taken)
         # a feature is visited at most once per episode
         tr.counts[episode.steps] += 1
@@ -450,3 +451,16 @@ def train(split, config: TrainConfig) -> RunReport:
         decision_counts=tuple(int(c) for c in tr.counts),
         total_wall_ms=(time.perf_counter() - t_start) * 1000.0,
     )
+
+
+def train(split, config: TrainConfig) -> RunReport:
+    """Drive ``steps`` serially: score each request, return the report."""
+    run = steps(split, config)
+    try:
+        new = next(run)
+        while True:
+            new = run.send(_eval_reward(
+                new, split, config.weights, config.seed,
+                n_trees=config.eval_trees))
+    except StopIteration as done:
+        return done.value

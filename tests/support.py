@@ -2,17 +2,19 @@
 squared error loss and its gradient for checking MLP gradients, a CSV
 writer for datasets, the report payload of one run, the entropy of a code
 sequence, a few-level 3-class split with subsets of every candidate count
-up to 4, and the plain forms that the fast state statistics, Adam step,
-replay ring, stop rule, weight recalculation, returns and root split search
-are pinned against."""
+up to 4, a one-episode run on a chosen walk, and the plain forms that the
+fast state statistics, Adam step, replay ring, stop rule, weight
+recalculation, returns and root split search are pinned against."""
 
 import csv
 import math
 from collections import deque
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
-from mcfs import cli, data, forest, nn
+from mcfs import cli, data, engine, forest, nn
 
 
 def get_flat(net) -> np.ndarray:
@@ -54,6 +56,17 @@ def run_payload(ds, meta, config) -> dict:
     process: the arm plus the three reference baselines."""
     [payload] = cli._run_arms(ds, meta, [config], 1)
     return payload
+
+
+def train_on_walk(split, config, episode):
+    """``engine.train(split, config)`` for one episode, with every walk, the
+    final selection's too, replaced by ``episode``.  The run asks for the
+    episode's subsets that the fold's reward table lacks and scores them,
+    as a run scores its own walks.  ``episode.states`` rows must be
+    ``state.META_STATS_LEN`` wide, as the Q-net trains on them."""
+    walk = lambda *args, **kwargs: episode
+    with mock.patch.object(engine, "traverse_episode", walk):
+        return engine.train(split, replace(config, episodes=1))
 
 
 def entropy(codes: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mcfs import data, engine, qlearner, rewards, state
 from support import (get_flat, set_flat, step_recalc_weights,
-                     stop_probability, two_loop_returns)
+                     stop_probability, train_on_walk, two_loop_returns)
 
 
 def random_importances(rng, n):
@@ -420,8 +420,8 @@ def scripted_episode(decisions, subsets):
     steps, actions = np.array(decisions, dtype=np.int64).T
     n = len(decisions)
     return engine.Episode(
-        steps=steps, states=np.zeros((n, 1)), actions=actions,
-        importance=np.ones(n), survival=np.ones(n),
+        steps=steps, states=np.zeros((n, state.META_STATS_LEN)),
+        actions=actions, importance=np.ones(n), survival=np.ones(n),
         subsets=[frozenset(sub) for sub in subsets], stopped_early=False,
     )
 
@@ -466,8 +466,9 @@ class TestScore:
         ))
         # constant offset keeps the discount gap nonzero on every step
         shaped.utility = plain.utility = lambda sub: float(len(sub)) + 1.0
-        ep = toy_traverse(engine.TrainConfig(stop_threshold=0.0), n=6,
-                          seed=2)
+        ep = random_walk(shaped, seed=2)
+        for tr in (shaped, plain):
+            train_on_walk(tr.split, tr.config, ep)
         shaped_eval, shaped_r = shaped.score(ep, 0)
         plain_eval, plain_r = plain.score(ep, 0)
         assert np.any(shaped_r != plain_r)
@@ -479,6 +480,7 @@ class TestScore:
         # the final eval is the final subset's reward
         tr = engine._Trainer(small_split(), quick_config(advise_steps=0))
         ep = random_walk(tr, seed=11)
+        train_on_walk(tr.split, tr.config, ep)
         final_eval, advised = tr.score(ep, 0)
         sub = frozenset()
         for feature, action, r in zip(ep.steps.tolist(), ep.actions,
@@ -494,6 +496,7 @@ class TestScore:
     def test_rewards_looked_up_once_per_step_in_walk_order(self):
         tr = engine._Trainer(small_split(), quick_config(advise_steps=0))
         ep = random_walk(tr, seed=11)
+        train_on_walk(tr.split, tr.config, ep)
         looked_up = []
         reward = tr.reward
         tr.reward = lambda sub: looked_up.append(sub) or reward(sub)
@@ -514,7 +517,7 @@ class TestScore:
         walks = [random_walk(tr, seed) for seed in (11, 12, 13)]
         for ep in walks:
             before = len(calls)
-            tr.score(ep, 0)
+            train_on_walk(tr.split, tr.config, ep)
             # one call scores all of the episode's new subsets
             batch = [s for s in dict.fromkeys(ep.subsets)
                      if not any(s in c for c in calls[:before])]
@@ -523,6 +526,54 @@ class TestScore:
         assert len(set(seen)) < len(seen)  # deselects repeat a subset
         assert [s for c in calls for s in c] == list(dict.fromkeys(seen))
 
+
+def timeless(report):
+    """A run report's fields apart from its wall times."""
+    fields = dict(vars(report), total_wall_ms=None)
+    fields["curves"] = [dict(vars(c), wall_ms=None) for c in report.curves]
+    return fields
+
+
+def answer(new, split, config):
+    """The rewards a run's request asks for, scored as ``train`` does."""
+    return rewards.eval_reward(new, split, config.weights, config.seed,
+                               n_trees=config.eval_trees)
+
+
+class TestSteps:
+    """``steps`` asks its driver for rewards; ``train`` is one driver."""
+
+    def test_short_reply_raises_and_writes_nothing(self):
+        sp, config = small_split(), quick_config()
+        run = engine.steps(sp, config)
+        new = next(run)
+        assert new  # a fresh fold's table lacks the first walk's subsets
+        with pytest.raises(ValueError):
+            run.send(answer(new, sp, config)[:-1])
+        table = engine._Trainer(sp, config).rewards
+        assert not any(subset in table for subset in new)
+
+    def test_interleaved_arms_report_as_sequential_runs(self):
+        configs = [quick_config(), quick_config(stop_threshold=0.0),
+                   quick_config(behavior_mode="random")]
+        sp = small_split()
+        runs = [engine.steps(sp, config) for config in configs]
+        # every arm walks its first episode before any request is answered
+        pending = {i: next(run) for i, run in enumerate(runs)}
+        first = list(pending.values())
+        # so two arms ask for the same subset, and each gets its answer
+        assert len(set().union(*first)) < sum(map(len, first))
+        reports = {}
+        while pending:
+            for i, new in list(pending.items()):
+                try:
+                    pending[i] = runs[i].send(answer(new, sp, configs[i]))
+                except StopIteration as done:
+                    del pending[i]
+                    reports[i] = done.value
+        sequential = [engine.train(small_split(), c) for c in configs]
+        for i, report in enumerate(sequential):
+            assert timeless(reports[i]) == timeless(report)
 
 
 class TestTables:
@@ -558,6 +609,7 @@ class TestTables:
         # the whole subset; a start past advise_steps advises no step
         episode = scripted_episode([(2, 1)], [self.SUBSET])
         for split, config in runs:
+            train_on_walk(split, config, episode)
             tr = engine._Trainer(split, config)
             final_eval, _ = tr.score(episode, config.advise_steps)
             assert final_eval == tr.reward(self.SUBSET) == 0.5
@@ -570,7 +622,7 @@ class TestTables:
         ]
 
     def test_reward_is_a_lookup(self, monkeypatch):
-        # only score scores: a subset that no score call has scored is
+        # the trainer scores nothing: a subset that no run has scored is
         # missing from the table, and looking it up scores nothing
         calls = []
         monkeypatch.setattr(engine, "_eval_reward",
