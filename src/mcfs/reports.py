@@ -8,14 +8,21 @@ metrics blocks are the fields of ``engine.TrainConfig``,
 generated from those dataclasses.  Every object schema requires all its
 keys, except the optional ``train_ratio`` and ``informative`` of the
 ``dataset`` block.
+
+The check is ``_check``, a walker that implements exactly the schema
+keywords REPORT_SCHEMA uses (SCHEMA_KEYWORDS), and raises on any other, so
+the package needs no JSON Schema library at run time.  A failed check
+raises ReportError, a ValueError whose message names the JSON path of the
+value.  The test suite holds the walker to a JSON Schema Draft 2020-12
+validator.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
+import reprlib
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -164,38 +171,99 @@ def summary_row(param, value, payload) -> dict:
     }
 
 
-def _finite_number(checker, instance) -> bool:
-    import jsonschema
+class ReportError(ValueError):
+    """A report that REPORT_SCHEMA rejects; the message starts with the
+    JSON path of the first value that fails, such as
+    ``report.curves[3].loss``."""
 
-    if isinstance(instance, float):
-        return math.isfinite(instance)
-    return jsonschema.Draft202012Validator.TYPE_CHECKER.is_type(
-        instance, "number"
+
+def _is_number(value) -> bool:
+    # a bool is never a number, and a float must be finite: json.dumps
+    # would write NaN and infinities as bare tokens that are not JSON
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (
+        isinstance(value, float) and math.isfinite(value)
     )
 
 
-@functools.cache
-def _report_validator():
-    """REPORT_SCHEMA's validator, built once per process.
+_TYPES = {
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "array": ("an array", lambda v: isinstance(v, list)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "number": ("a finite number", _is_number),
+    "integer": ("an integer", lambda v: _is_number(v) and (
+        isinstance(v, int) or v.is_integer())),
+}
 
-    The schema is a constant, so the test suite checks it against its
-    meta-schema, not every process.  A "number" must be finite:
-    ``json.dumps`` would write NaN and infinities as bare tokens that are
-    not JSON.  jsonschema is imported here, not with the module, so its
-    ~4 MB are not resident while forests grow, and processes that never
-    validate never load it.
+# the schema keywords _check implements, which are those REPORT_SCHEMA uses
+SCHEMA_KEYWORDS = frozenset({
+    "$schema", "type", "properties", "required", "additionalProperties",
+    "items", "const", "enum", "minimum",
+})
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality: 1 equals 1.0, but a bool equals only itself."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    return a == b
+
+
+def _check(schema: dict, value, path: str) -> None:
+    """Raise ReportError at the first part of ``value``, at JSON path
+    ``path``, that ``schema`` rejects.
+
+    Implements SCHEMA_KEYWORDS with their JSON Schema 2020-12 meaning,
+    except that a number must be finite; any other keyword raises
+    NotImplementedError rather than pass unchecked.
     """
-    import jsonschema
+    unknown = schema.keys() - SCHEMA_KEYWORDS
+    kind = schema.get("type")
+    if unknown or (kind is not None and kind not in _TYPES):
+        raise NotImplementedError(
+            f"{path}: schema keywords {sorted(unknown)} or type {kind!r} "
+            "are not implemented"
+        )
 
-    base = jsonschema.Draft202012Validator
-    cls = jsonschema.validators.extend(
-        base, type_checker=base.TYPE_CHECKER.redefine("number", _finite_number)
-    )
-    return cls(REPORT_SCHEMA)
+    def fail(message):
+        raise ReportError(f"{path}: {message}, got {reprlib.repr(value)}")
+
+    if kind is not None and not _TYPES[kind][1](value):
+        fail(f"expected {_TYPES[kind][0]}")
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        fail(f"expected {schema['const']!r}")
+    if "enum" in schema and not any(_json_equal(value, e)
+                                    for e in schema["enum"]):
+        fail(f"expected one of {schema['enum']}")
+    if "minimum" in schema and _is_number(value) and (
+            value < schema["minimum"]):
+        fail(f"expected at least {schema['minimum']}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ReportError(f"{path}.{key}: missing")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is False:
+                raise ReportError(f"{path}.{key}: not a known key")
+            if sub is not True:
+                _check(sub, item, f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(schema["items"], item, f"{path}[{i}]")
 
 
 def validate_report(payload: dict) -> None:
-    _report_validator().validate(payload)
+    """Raise ReportError unless ``payload`` meets REPORT_SCHEMA."""
+    _check(REPORT_SCHEMA, payload, "report")
 
 
 def write_report_files(payload: dict, out_dir) -> tuple[Path, Path]:

@@ -317,6 +317,19 @@ class TestRunCommand:
         assert "error: arm failed in a worker" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_report_failing_its_check_exits_1(self, tmp_path, monkeypatch,
+                                              capsys):
+        report_to_dict = reports.report_to_dict
+
+        def non_finite(*args, **kwargs):
+            return {**report_to_dict(*args, **kwargs),
+                    "best_eval": float("nan")}
+
+        monkeypatch.setattr(reports, "report_to_dict", non_finite)
+        assert cli.main(run_args(tmp_path / "r")) == 1
+        assert "error: report.best_eval: " in capsys.readouterr().err
+        assert not (tmp_path / "r" / "report.json").exists()
+
     def test_zero_target_probability_finishes(self, tmp_path):
         # on this seed the target policy gives a sampled action probability
         # 0, which used to stop the run with "running weight must be

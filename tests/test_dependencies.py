@@ -1,5 +1,5 @@
-"""The package imports nothing at run time beyond numpy and jsonschema, and
-ships nothing that only the tests use."""
+"""The package imports nothing at run time beyond the standard library and
+numpy, and ships nothing that only the tests use."""
 
 import ast
 import functools
@@ -10,7 +10,7 @@ import pytest
 
 import mcfs
 
-ALLOWED = {"numpy", "jsonschema", "mcfs"}
+ALLOWED = {"numpy", "mcfs"}
 SOURCES = sorted(Path(mcfs.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,7 +31,7 @@ def test_sources_found():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_imports_are_stdlib_numpy_or_jsonschema(path):
+def test_imports_are_stdlib_or_numpy(path):
     foreign = {
         root for root in imported_roots(path)
         if root not in sys.stdlib_module_names and root not in ALLOWED

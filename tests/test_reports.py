@@ -2,12 +2,16 @@
 dataclasses."""
 
 import copy
+import functools
 import json
+import math
+import operator
 import os
+import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -32,8 +36,21 @@ def payload():
     return run_payload(ds, meta, config)
 
 
+@pytest.fixture(scope="module")
+def sweep_arm_payload():
+    # the second arm of a greedy two-arm sweep, as in the info-sweep shape
+    args = cli.build_parser().parse_args(
+        ["run", "--synthetic", "90,6,2", "--seed", "5"]
+    )
+    ds, meta = cli._load_dataset(args)
+    base = engine.TrainConfig(episodes=4, eval_trees=5, seed=5,
+                              weights=RewardWeights(0.0, 1.0, 1.0))
+    configs = [replace(base, advise_steps=v) for v in (0, 2)]
+    return cli._run_arms(ds, meta, configs, 1)[1]
+
+
 def assert_invalid(report):
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(reports.ReportError):
         reports.validate_report(report)
 
 
@@ -156,7 +173,7 @@ def test_version_2_report_fails_to_load(payload, tmp_path):
     for version in (2, reports.SCHEMA_VERSION):
         old["schema_version"] = version
         path.write_text(json.dumps(old))
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(reports.ReportError):
             reports.load_report(path)
 
 
@@ -195,44 +212,172 @@ def test_schema_is_version_3():
             == json.dumps(pinned, sort_keys=True))
 
 
-def test_reports_never_check_the_schema(payload, tmp_path, monkeypatch):
-    calls = []
-
-    def counting(cls, schema, *args, **kwargs):
-        calls.append(schema)
-
-    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
-                        classmethod(counting))
-    reports._report_validator.cache_clear()
-    json_path, _ = reports.write_report_files(payload, tmp_path)
-    reports.load_report(json_path)
-    assert calls == []
-
-
-def test_jsonschema_loaded_only_to_validate(payload, tmp_path):
-    # the CLI starts without jsonschema; the first report write loads it,
-    # and the finite-number check still holds
-    (tmp_path / "payload.json").write_text(json.dumps(payload))
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--param", "stop-threshold", "--values", "0.5"],
+], ids=["run", "sweep"])
+def test_command_never_loads_jsonschema(command, tmp_path):
+    # ``python -m mcfs.cli`` checks its reports without jsonschema, and the
+    # finite-number rule still holds
     script = textwrap.dedent("""
-        import json, sys
-        import mcfs.cli
-        assert "jsonschema" not in sys.modules
+        import runpy, sys
+        from pathlib import Path
+        try:
+            runpy.run_module("mcfs.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
         from mcfs import reports
-        payload = json.load(open("payload.json"))
-        reports.write_report_files(payload, "good")
-        assert "jsonschema" in sys.modules
-        import jsonschema
+        payload = reports.load_report(next(Path("out").rglob("report.json")))
         payload["curves"][0]["loss"] = float("nan")
         try:
             reports.write_report_files(payload, "bad")
-        except jsonschema.ValidationError:
-            print("rejected")
+        except reports.ReportError as exc:
+            print(exc)
+        print("jsonschema" in sys.modules)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(mcfs.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
-                          timeout=60)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *command, "--synthetic", "60,4,2",
+         "--episodes", "2", "--seed", "1", "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "rejected\n"
-    assert (tmp_path / "good" / "report.json").exists()
+    assert done.stdout.splitlines()[-2:] == [
+        "report.curves[0].loss: expected a finite number, got nan", "False",
+    ]
     assert not (tmp_path / "bad").exists()
+
+
+def _finite_number(checker, instance) -> bool:
+    if isinstance(instance, float):
+        return math.isfinite(instance)
+    return jsonschema.Draft202012Validator.TYPE_CHECKER.is_type(
+        instance, "number"
+    )
+
+
+# jsonschema's Draft 2020-12 validator, with the one rule the report check
+# adds: a number must be finite
+ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "number", _finite_number),
+)(reports.REPORT_SCHEMA)
+
+# replacement values, each put in place of one value of a report
+REPLACEMENTS = {
+    "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+    "true": True, "one_float": 1.0, "half": 0.5, "string": "1",
+    "list": [], "object": {}, "null": None, "minus_one": -1, "zero": 0,
+}
+
+
+def json_path(keys) -> str:
+    return "report" + "".join(
+        f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys
+    )
+
+
+def locations(value, keys=()):
+    """(key path, value) of ``value`` and of every value inside it."""
+    yield keys, value
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from locations(v, keys + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from locations(v, keys + (i,))
+
+
+DROP = object()
+
+
+def mutations(payload):
+    """Every single-field mutation of ``payload``, as (kind, key path,
+    new value); the value DROP deletes the key."""
+    for keys, value in locations(payload):
+        if keys:
+            for kind, new in REPLACEMENTS.items():
+                yield kind, keys, new
+            if isinstance(keys[-1], str):
+                yield "drop", keys, DROP
+        if isinstance(value, dict):
+            yield "extra", keys + ("extra",), 1
+    for version in (2, 4, "3", 3.0, True):
+        yield "schema_version", ("schema_version",), version
+
+
+def mutated(payload, keys, new):
+    # a JSON copy: the payload's test_metrics is its selected baseline's
+    # metrics object, which a deep copy would keep shared
+    bad = json.loads(json.dumps(payload))
+    parent = functools.reduce(operator.getitem, keys[:-1], bad)
+    if new is DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = copy.deepcopy(new)
+    return bad
+
+
+@pytest.mark.parametrize("which", ["payload", "sweep_arm_payload"])
+def test_check_agrees_with_jsonschema(which, request):
+    report = request.getfixturevalue(which)
+    assert ORACLE.is_valid(report)
+    reports.validate_report(report)
+    by_kind = {}
+    for case in mutations(report):
+        by_kind.setdefault(case[0], []).append(case)
+    rng = random.Random(0)
+    sample = [case for group in by_kind.values()
+              for case in rng.sample(group, min(len(group), 40))]
+    rejected = 0
+    for kind, keys, new in sample:
+        bad = mutated(report, keys, new)
+        try:
+            reports.validate_report(bad)
+        except reports.ReportError as exc:
+            rejected += 1
+            assert not ORACLE.is_valid(bad), (kind, keys)
+            # the error names the mutated value or a value inside it
+            path = str(exc).split(": ")[0]
+            assert path == json_path(keys) or path.startswith(
+                (json_path(keys) + ".", json_path(keys) + "[")
+            ), (kind, keys, exc)
+        else:
+            assert ORACLE.is_valid(bad), (kind, keys)
+    assert 0 < rejected < len(sample)
+
+
+def schema_keywords(schema: dict) -> set:
+    """Every keyword used in ``schema`` and in its subschemas."""
+    found = set(schema)
+    subschemas = list(schema.get("properties", {}).values())
+    subschemas += [schema[k] for k in ("items", "additionalProperties")
+                   if isinstance(schema.get(k), dict)]
+    for sub in subschemas:
+        found |= schema_keywords(sub)
+    return found
+
+
+def test_check_implements_the_keywords_the_schema_uses():
+    assert schema_keywords(reports.REPORT_SCHEMA) == reports.SCHEMA_KEYWORDS
+
+
+@pytest.mark.parametrize("schema, value", [
+    ({"type": "number", "maximum": 1}, 0.5),
+    ({"type": "boolean"}, True),
+    ({"type": "array", "items": {"multipleOf": 2}}, [4]),
+    ({"type": "object", "properties": {"x": {"pattern": "a"}}}, {"x": "a"}),
+], ids=["maximum", "boolean", "nested_in_items", "nested_in_properties"])
+def test_unimplemented_keyword_raises(schema, value):
+    with pytest.raises(NotImplementedError):
+        reports._check(schema, value, "report")
+
+
+@pytest.mark.parametrize("schema", [{"const": 1}, {"enum": [0, 1]}],
+                         ids=["const", "enum"])
+def test_const_and_enum_use_json_equality(schema):
+    # 1 equals 1.0 in JSON, but true is not 1
+    reports._check(schema, 1.0, "report")
+    with pytest.raises(reports.ReportError):
+        reports._check(schema, True, "report")
